@@ -81,18 +81,18 @@ TrainResult TrainLoop(FieldVae& model, const MultiFieldDataset& dataset,
   BatchIterator batches(dataset.num_users(), options.batch_size,
                         shuffle_seed);
   obs::MetricsRegistry& metrics = obs::MetricsRegistry::Global();
-  obs::Counter& steps_counter = metrics.Counter("training.steps");
-  obs::Counter& users_counter = metrics.Counter("training.users");
-  obs::Counter& epochs_counter = metrics.Counter("training.epochs");
+  obs::Counter& steps_counter = metrics.Counter("train.steps");
+  obs::Counter& users_counter = metrics.Counter("train.users");
+  obs::Counter& epochs_counter = metrics.Counter("train.epochs");
   // Loss values live on a linear-ish scale near 1; a fine growth factor
   // keeps the percentile estimates meaningful for them.
   LatencyHistogram& loss_histo =
-      metrics.Histo("training.epoch_loss", /*min_value=*/0.01,
+      metrics.Histo("train.epoch_loss", /*min_value=*/0.01,
                     /*growth=*/1.05, /*num_buckets=*/256);
-  LatencyHistogram& epoch_us_histo = metrics.Histo("training.epoch_us");
-  LatencyHistogram& step_us_histo = metrics.Histo("training.step_us");
-  obs::Gauge& epoch_gauge = metrics.Gauge("training.epoch");
-  obs::Gauge& last_loss_gauge = metrics.Gauge("training.last_epoch_loss");
+  LatencyHistogram& epoch_us_histo = metrics.Histo("train.epoch_us");
+  LatencyHistogram& step_us_histo = metrics.Histo("train.step_us");
+  obs::Gauge& epoch_gauge = metrics.Gauge("train.epoch");
+  obs::Gauge& last_loss_gauge = metrics.Gauge("train.last_epoch_loss");
 
   std::unique_ptr<CheckpointManager> checkpointer;
   if (options.checkpoint_every_steps > 0) {

@@ -40,7 +40,7 @@ MetricsRegistry::Entry& MetricsRegistry::Register(std::string_view name,
                                                   Kind kind) {
   FVAE_CHECK(IsValidMetricName(name))
       << "metric name must be a snake_case dotted path "
-         "(\"training.epoch_loss\"), got: "
+         "(\"train.epoch_loss\"), got: "
       << std::string(name);
   auto it = metrics_.find(name);
   if (it == metrics_.end()) {

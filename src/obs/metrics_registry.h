@@ -17,7 +17,7 @@
 namespace fvae::obs {
 
 /// True iff `name` is a snake_case dotted path: two or more '.'-separated
-/// segments, each matching [a-z][a-z0-9_]* ("training.epoch_loss").
+/// segments, each matching [a-z][a-z0-9_]* ("train.epoch_loss").
 /// Registration FVAE_CHECKs this, and fvae_lint's `metric-name` rule
 /// enforces it statically on string literals — keep the two in sync.
 bool IsValidMetricName(std::string_view name);
@@ -138,7 +138,7 @@ class MetricsRegistry {
   /// Machine-readable snapshot: one JSON object per line, sorted by name.
   ///   {"name":"data.batches","type":"counter","value":352}
   ///   {"name":"serving.queue_depth","type":"gauge","value":3}
-  ///   {"name":"training.step_us","type":"histogram","count":64,
+  ///   {"name":"train.step_us","type":"histogram","count":64,
   ///    "mean":812.0,"p50":790.1,"p95":1180.4,"p99":1423.9}
   std::string JsonlSnapshot() const;
 

@@ -18,7 +18,9 @@ TEST(ZipfSamplerTest, ProbabilitiesNormalizedAndDecreasing) {
   double total = 0.0;
   for (size_t r = 0; r < 100; ++r) {
     total += zipf.Probability(r);
-    if (r > 0) EXPECT_LE(zipf.Probability(r), zipf.Probability(r - 1));
+    if (r > 0) {
+      EXPECT_LE(zipf.Probability(r), zipf.Probability(r - 1));
+    }
   }
   EXPECT_NEAR(total, 1.0, 1e-9);
 }

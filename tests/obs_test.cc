@@ -22,7 +22,7 @@ namespace {
 // ---------- metric names ----------
 
 TEST(MetricNameTest, ValidatesDottedSnakeCasePaths) {
-  EXPECT_TRUE(IsValidMetricName("training.epoch_loss"));
+  EXPECT_TRUE(IsValidMetricName("train.epoch_loss"));
   EXPECT_TRUE(IsValidMetricName("serving.lookup_latency_us"));
   EXPECT_TRUE(IsValidMetricName("a.b"));
   EXPECT_TRUE(IsValidMetricName("a.b2.c_d"));
@@ -30,7 +30,7 @@ TEST(MetricNameTest, ValidatesDottedSnakeCasePaths) {
   EXPECT_FALSE(IsValidMetricName(""));
   EXPECT_FALSE(IsValidMetricName("flat"));           // no dot
   EXPECT_FALSE(IsValidMetricName("Training.loss"));  // upper case
-  EXPECT_FALSE(IsValidMetricName("training."));      // trailing dot
+  EXPECT_FALSE(IsValidMetricName("train."));         // trailing dot
   EXPECT_FALSE(IsValidMetricName(".loss"));          // leading dot
   EXPECT_FALSE(IsValidMetricName("a..b"));           // empty segment
   EXPECT_FALSE(IsValidMetricName("a.9b"));           // digit-led segment

@@ -17,8 +17,9 @@
 ///   - `if`/`else` (including `else if` chains and `if constexpr`), with
 ///     short-circuit `&&`/`||` conditions split into one guard node per
 ///     operand when the condition uses a single operator kind (a mixed
-///     `a && b || c` condition stays one node — the analyses are
-///     condition-blind, so only the edge structure matters);
+///     `a && b || c` condition stays one node). A single-operand
+///     condition is also recorded on both branch entries with the way it
+///     went, for analyses that refine state per edge (`if (fd < 0)`);
 ///   - `while`, `do`/`while`, classic and range `for`; `while (true)`,
 ///     `while (1)` and `for (;;)` get no loop-head exit edge, so code
 ///     after an infinite loop is only reachable through `break` — the
@@ -57,6 +58,13 @@ struct CfgNode {
   std::vector<CfgStmt> stmts;
   std::vector<size_t> succ;
   std::vector<size_t> pred;
+  // Set on the two branch entries of an `if` whose condition is a single
+  // operand: the condition's token range [cond_begin, cond_end) and
+  // whether it holds on this branch. Each entry has the condition node as
+  // its only predecessor, so an analysis can refine its state per edge.
+  size_t cond_begin = 0;
+  size_t cond_end = 0;
+  bool cond_holds = false;
 };
 
 struct Cfg {
@@ -326,6 +334,13 @@ class CfgBuilder {
         AddEdge(node, then_entry);  // short-circuit true
       }
       g = node;
+    }
+    if (guards.size() == 1 && !cfg_.truncated) {
+      for (const size_t branch : {then_entry, else_entry}) {
+        cfg_.nodes[branch].cond_begin = i + 1;
+        cfg_.nodes[branch].cond_end = close - 1;
+        cfg_.nodes[branch].cond_holds = branch == then_entry;
+      }
     }
     const size_t join = NewNode();
     size_t j = close;

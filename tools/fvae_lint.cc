@@ -2,17 +2,20 @@
 //
 //   usage: fvae_lint [repo_root] [--budget-ms N] [--json FILE]
 //
-// Walks src/, tools/, bench/, tests/ and examples/, applies the rules in
-// tools/lint_rules.h, prints every finding as "path:line: [rule] message"
-// and exits non-zero if the tree is not clean. A per-analysis wall-clock
-// breakdown always follows the verdict, so the analyzer's own cost stays
-// visible as the tree grows; with --budget-ms the run additionally fails
-// when the total exceeds the budget (the ctest passes 5000 on
-// non-sanitizer builds). With --json FILE a machine-readable report
-// (verdict, findings with source excerpts, the timing breakdown) is
-// written whether or not the tree is clean — CI uploads it as an
-// artifact when the lint step fails. See ARCHITECTURE.md ("Static
-// analysis & sanitizers") for the rule list and rationale.
+// Checks the project invariants only a whole-tree analysis can: the
+// per-file rules of tools/lint_rules.h over src/, tools/, bench/, tests/
+// and examples/, and the whole-program analyses of tools/lint_graph.h over
+// src/. A dropped Status/Result is not among them — [[nodiscard]] plus
+// -Werror=unused-result make it a compile error. Prints every finding as
+// "path:line: [rule] message" and exits non-zero if the tree is not
+// clean. The per-phase wall-clock breakdown always follows the verdict,
+// so the analyzer's own cost stays visible as the tree grows; with
+// --budget-ms the run additionally fails when the total exceeds the budget
+// (the ctest passes 5000 on non-sanitizer builds). With --json FILE a
+// machine-readable report (verdict, findings with source excerpts, the
+// same phase timings) is written whether or not the tree is clean — CI
+// uploads it as an artifact when the lint step fails. See ARCHITECTURE.md
+// ("Static analysis & sanitizers") for the rule list and rationale.
 
 #include <cstdio>
 #include <cstdlib>
@@ -85,21 +88,14 @@ void WriteJsonReport(const std::filesystem::path& out_path,
         << JsonEscape(LineExcerpt(root, f.file, f.line)) << "\"}";
   }
   out << (findings.empty() ? "]" : "\n  ]") << ",\n  \"timing_ms\": {";
-  const auto& a = t.analysis;
-  char buf[512];
-  std::snprintf(
-      buf, sizeof(buf),
-      "\"scan\": %.3f, \"per_file\": %.3f, \"link\": %.3f, "
-      "\"cfg\": %.3f, \"lock_balance\": %.3f, \"lock_cycle\": %.3f, "
-      "\"hot_path\": %.3f, \"event_loop\": %.3f, \"guarded_by\": %.3f, "
-      "\"verb_switch\": %.3f, \"status_path\": %.3f, "
-      "\"resource_escape\": %.3f, \"use_after_move\": %.3f, "
-      "\"total\": %.3f",
-      t.scan_ms, t.per_file_ms, a.link_ms, a.cfg_ms, a.lock_balance_ms,
-      a.lock_cycle_ms, a.hot_path_ms, a.event_loop_ms, a.guarded_by_ms,
-      a.verb_switch_ms, a.status_path_ms, a.resource_escape_ms,
-      a.use_after_move_ms, t.total_ms());
-  out << buf << "},\n  \"file_count\": " << t.file_count << "\n}\n";
+  char buf[64];
+  for (const fvae::lint::PhaseTime& p : t.phases) {
+    std::snprintf(buf, sizeof(buf), "%.3f", p.ms);
+    out << "\"" << p.phase << "\": " << buf << ", ";
+  }
+  std::snprintf(buf, sizeof(buf), "%.3f", t.total_ms());
+  out << "\"total\": " << buf << "},\n  \"file_count\": " << t.file_count
+      << "\n}\n";
 }
 
 }  // namespace
@@ -141,19 +137,11 @@ int main(int argc, char** argv) {
   } else {
     std::printf("fvae_lint: clean\n");
   }
-  std::printf(
-      "fvae_lint: timing: scan %.1f ms (%zu files), per-file %.1f ms, "
-      "link %.1f ms, cfg %.1f ms, lock-balance %.1f ms, "
-      "lock-cycle %.1f ms, hot-path %.1f ms, event-loop %.1f ms, "
-      "guarded-by %.1f ms, verb-switch %.1f ms, status-path %.1f ms, "
-      "resource-escape %.1f ms, use-after-move %.1f ms, total %.1f ms\n",
-      timings.scan_ms, timings.file_count, timings.per_file_ms,
-      timings.analysis.link_ms, timings.analysis.cfg_ms,
-      timings.analysis.lock_balance_ms, timings.analysis.lock_cycle_ms,
-      timings.analysis.hot_path_ms, timings.analysis.event_loop_ms,
-      timings.analysis.guarded_by_ms, timings.analysis.verb_switch_ms,
-      timings.analysis.status_path_ms, timings.analysis.resource_escape_ms,
-      timings.analysis.use_after_move_ms, timings.total_ms());
+  std::printf("fvae_lint: timing (%zu files):", timings.file_count);
+  for (const fvae::lint::PhaseTime& p : timings.phases) {
+    std::printf(" %s %.1f ms,", p.phase.c_str(), p.ms);
+  }
+  std::printf(" total %.1f ms\n", timings.total_ms());
   if (budget_ms > 0 && timings.total_ms() > budget_ms) {
     std::fprintf(stderr,
                  "fvae_lint: self-runtime budget exceeded: %.1f ms > "

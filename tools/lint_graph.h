@@ -32,36 +32,31 @@
 /// that member name, so `Kernels().softmax_inplace(..)` walks into each
 /// per-ISA kernel body instead of vanishing behind the indirection.
 ///
-/// Five analyses run on the linked facts:
+/// Four fact-level analyses run on the linked facts:
 ///
-///   lock-cycle   The lock acquisition-order graph has an edge A -> B when
-///                A is declared FVAE_ACQUIRED_BEFORE(B) (or B is declared
-///                FVAE_ACQUIRED_AFTER(A)), when B is observed taken while
-///                A is held inside one function, or when a function called
-///                with A held transitively acquires B. Any cycle is a
-///                potential deadlock and is reported with the full path,
-///                each edge carrying its provenance (file:line, declared
-///                vs observed).
+///   lock-cycle    The lock acquisition-order graph has an edge A -> B when
+///                 A is declared FVAE_ACQUIRED_BEFORE(B) (or B is declared
+///                 FVAE_ACQUIRED_AFTER(A)), when B is observed taken while
+///                 A is held inside one function, or when a function called
+///                 with A held transitively acquires B. Any cycle is a
+///                 potential deadlock and is reported with the full path,
+///                 each edge carrying its provenance (file:line, declared
+///                 vs observed).
 ///
-///   hot-path     Functions marked FVAE_HOT must not log, do IO, or
-///                acquire locks other than ones whose declaration carries
-///                FVAE_HOT_LOCK_EXEMPT — transitively through every
-///                resolvable callee. FVAE_NOALLOC additionally forbids
-///                heap allocation tokens. Violations print the call chain
-///                from the annotated root to the offender.
+///   reachability  One BFS from every FVAE_HOT / FVAE_NOALLOC /
+///                 FVAE_EVENT_LOOP root through every resolvable callee;
+///                 the root's policy decides which facts on the way are
+///                 findings (hot-* and loop-* rules, AnalyzeReachability).
 ///
-///   event-loop   Functions marked FVAE_EVENT_LOOP (EpollLoop callbacks
-///                and the methods they run) must not block: no blocking
-///                syscalls, sleeps, condvar waits, joins, file IO,
-///                non-exempt lock acquisition, or FVAE_MAY_BLOCK callees —
-///                transitively, like the hot walk (AnalyzeEventLoops).
+///   guarded-by    Every access to an FVAE_GUARDED_BY(m) member must occur
+///                 where `m` is held — portable re-implementation of the
+///                 core of Clang's -Wthread-safety (AnalyzeGuardedBy).
 ///
-///   guarded-by   Every access to an FVAE_GUARDED_BY(m) member must occur
-///                where `m` is held — portable re-implementation of the
-///                core of Clang's -Wthread-safety (AnalyzeGuardedBy).
+///   verb-switch   A switch over a known enum class (the wire Verb) must be
+///                 exhaustive or justify its default (AnalyzeEnumSwitches).
 ///
-///   verb-switch  A switch over a known enum class (the wire Verb) must be
-///                exhaustive or justify its default (AnalyzeEnumSwitches).
+/// The path-sensitive analyses (status-path, resource-escape,
+/// lock-balance, use-after-move) follow further down.
 ///
 /// Line-level suppressions: a `fvae-lint: allow(<rule>)` comment on the
 /// offending line silences that fact; `allow(hot-path)` on a *call* line
@@ -492,144 +487,59 @@ inline std::vector<Finding> AnalyzeLockOrder(const ProgramFacts& pf) {
   return findings;
 }
 
-/// Hot-path purity: walks callees from every FVAE_HOT / FVAE_NOALLOC root
-/// and reports logging, IO, non-exempt lock acquisition, TraceSpan /
-/// FVAE_TRACE_SCOPE construction — plus heap allocation for FVAE_NOALLOC
-/// roots — with the root-to-offender chain.
-inline std::vector<Finding> AnalyzeHotPaths(const ProgramFacts& pf) {
+/// What a reachability root forbids along every chain it reaches.
+enum class RootPolicy {
+  kHot,        // FVAE_HOT: hot-log / hot-io / hot-trace / hot-lock
+  kNoAlloc,    // FVAE_NOALLOC: the kHot rules plus hot-alloc
+  kEventLoop,  // FVAE_EVENT_LOOP: loop-block / loop-io / loop-lock /
+               // loop-may-block
+};
+
+/// Reachability walk shared by the hot-path and event-loop rules: one BFS
+/// over resolved callees from every annotated root, with parent pointers
+/// so each finding prints the call chain from its root. Per policy:
+///
+///   kHot / kNoAlloc  logging, IO, TraceSpan / FVAE_TRACE_SCOPE
+///                    construction and locks not FVAE_HOT_LOCK_EXEMPT are
+///                    findings; kNoAlloc roots also forbid heap allocation.
+///                    `fvae-lint: allow(hot-path)` on a call line cuts the
+///                    edge.
+///   kEventLoop       blocking syscalls, sleeps, condvar waits, joins,
+///                    RetryWithBackoff and recv/send without MSG_DONTWAIT
+///                    (loop-block), file IO (loop-io), locks that are
+///                    neither FVAE_LOOP_LOCK_EXEMPT nor FVAE_HOT_LOCK_EXEMPT
+///                    (loop-lock); a call reaching an FVAE_MAY_BLOCK
+///                    function is reported at the call line and not
+///                    descended into (loop-may-block). `allow(loop-path)`
+///                    on a call line cuts the edge.
+///
+/// A function that is both FVAE_HOT and FVAE_EVENT_LOOP is walked once
+/// per policy; findings dedup on rule|file|line across all roots.
+inline std::vector<Finding> AnalyzeReachability(const ProgramFacts& pf) {
   std::vector<Finding> findings;
   std::set<std::string> seen;  // rule|file|line dedup across roots
   auto report = [&findings, &seen](const std::string& rule,
                                    const FunctionFacts& fn, size_t line,
                                    const std::string& message) {
-    std::ostringstream key;
-    key << rule << "|" << fn.file << "|" << line;
-    if (seen.insert(key.str()).second) {
+    if (seen.insert(rule + "|" + fn.file + "|" + std::to_string(line))
+            .second) {
       findings.push_back({fn.file, line, rule, message});
     }
   };
 
-  for (size_t root = 0; root < pf.functions.size(); ++root) {
-    if (!pf.functions[root].hot) continue;
-    const bool noalloc = pf.functions[root].noalloc;
-    const std::string root_attr = noalloc ? "FVAE_NOALLOC" : "FVAE_HOT";
-    // BFS with parent pointers for chain reconstruction.
-    std::map<size_t, size_t> parent;
-    std::deque<size_t> queue;
-    std::set<size_t> visited;
-    queue.push_back(root);
-    visited.insert(root);
-    auto chain_of = [&parent, &pf, root](size_t fi) {
-      std::vector<std::string> parts;
-      for (size_t cur = fi;; cur = parent[cur]) {
-        parts.push_back(pf.functions[cur].qualified);
-        if (cur == root) break;
-      }
-      std::string chain;
-      for (size_t p = parts.size(); p-- > 0;) {
-        chain += parts[p];
-        if (p != 0) chain += " -> ";
-      }
-      return chain;
-    };
-    while (!queue.empty()) {
-      const size_t fi = queue.front();
-      queue.pop_front();
-      const FunctionFacts& fn = pf.functions[fi];
-      for (const PurityFact& log : fn.logs) {
-        if (LineAllows(pf, fn.file, log.line, "hot-log")) continue;
-        report("hot-log", fn, log.line,
-               "logging call '" + log.token + "' reachable from " +
-                   root_attr + " " + pf.functions[root].qualified + " via " +
-                   chain_of(fi));
-      }
-      for (const PurityFact& io : fn.ios) {
-        if (LineAllows(pf, fn.file, io.line, "hot-io")) continue;
-        report("hot-io", fn, io.line,
-               "IO touch '" + io.token + "' reachable from " + root_attr +
-                   " " + pf.functions[root].qualified + " via " +
-                   chain_of(fi));
-      }
-      for (const PurityFact& trace : fn.traces) {
-        if (LineAllows(pf, fn.file, trace.line, "hot-trace")) continue;
-        report("hot-trace", fn, trace.line,
-               "'" + trace.token + "' construction reachable from " +
-                   root_attr + " " + pf.functions[root].qualified + " via " +
-                   chain_of(fi) +
-                   " — TraceSpan locks and may allocate; hot code stages "
-                   "spans through SpanScratch::NoteSpan instead");
-      }
-      for (const LockAcq& acq : fn.acquisitions) {
-        const LockDecl* lock = ResolveLock(pf, fn, acq.lock);
-        if (lock != nullptr && lock->hot_exempt) continue;
-        if (LineAllows(pf, fn.file, acq.line, "hot-lock")) continue;
-        report("hot-lock", fn, acq.line,
-               "lock '" + (lock != nullptr ? lock->id : acq.lock) +
-                   "' (not FVAE_HOT_LOCK_EXEMPT) acquired on path from " +
-                   root_attr + " " + pf.functions[root].qualified + " via " +
-                   chain_of(fi));
-      }
-      if (noalloc) {
-        for (const PurityFact& alloc : fn.allocs) {
-          if (LineAllows(pf, fn.file, alloc.line, "hot-alloc")) continue;
-          report("hot-alloc", fn, alloc.line,
-                 "heap allocation '" + alloc.token + "' reachable from " +
-                     root_attr + " " + pf.functions[root].qualified +
-                     " via " + chain_of(fi));
-        }
-      }
-      for (const CallSite& call : fn.calls) {
-        if (LineAllows(pf, fn.file, call.line, "hot-path")) continue;
-        for (size_t ci : ResolveCall(pf, fn, call)) {
-          if (visited.insert(ci).second) {
-            parent[ci] = fi;
-            queue.push_back(ci);
-          }
-        }
-      }
-    }
-  }
-  return findings;
-}
-
-/// Event-loop blocking discipline: walks callees from every FVAE_EVENT_LOOP
-/// root and reports anything that can stall the loop thread —
-///
-///   loop-block      blocking syscalls, sleeps, condvar waits, thread
-///                   joins, RetryWithBackoff, recv/send without
-///                   MSG_DONTWAIT, anywhere on the reachable chain
-///   loop-io         file IO on the chain (sleeps report as loop-block)
-///   loop-lock       acquisition of a lock that is neither
-///                   FVAE_LOOP_LOCK_EXEMPT nor FVAE_HOT_LOCK_EXEMPT
-///   loop-may-block  a call that reaches an FVAE_MAY_BLOCK function; the
-///                   walk reports at the call line and does not descend
-///
-/// `fvae-lint: allow(loop-path)` on a call line cuts that edge out of the
-/// walk, mirroring allow(hot-path).
-inline std::vector<Finding> AnalyzeEventLoops(const ProgramFacts& pf) {
-  std::vector<Finding> findings;
-  std::set<std::string> seen;  // rule|file|line dedup across roots
-  auto report = [&findings, &seen](const std::string& rule,
-                                   const FunctionFacts& fn, size_t line,
-                                   const std::string& message) {
-    std::ostringstream key;
-    key << rule << "|" << fn.file << "|" << line;
-    if (seen.insert(key.str()).second) {
-      findings.push_back({fn.file, line, rule, message});
-    }
-  };
-
-  for (size_t root = 0; root < pf.functions.size(); ++root) {
-    if (!pf.functions[root].event_loop || pf.functions[root].may_block) {
-      continue;
-    }
+  auto walk = [&](size_t root, RootPolicy policy) {
+    const bool loop = policy == RootPolicy::kEventLoop;
     const std::string& root_name = pf.functions[root].qualified;
+    const std::string origin =
+        std::string(loop ? "FVAE_EVENT_LOOP"
+                    : policy == RootPolicy::kNoAlloc ? "FVAE_NOALLOC"
+                                                     : "FVAE_HOT") +
+        " " + root_name;
     std::map<size_t, size_t> parent;
-    std::deque<size_t> queue;
-    std::set<size_t> visited;
-    queue.push_back(root);
-    visited.insert(root);
-    auto chain_of = [&parent, &pf, root](size_t fi) {
+    std::deque<size_t> queue = {root};
+    std::set<size_t> visited = {root};
+    // "<root attr> <root> via a -> b -> c", built only when reporting.
+    auto path_to = [&](size_t fi) {
       std::vector<std::string> parts;
       for (size_t cur = fi;; cur = parent[cur]) {
         parts.push_back(pf.functions[cur].qualified);
@@ -640,49 +550,71 @@ inline std::vector<Finding> AnalyzeEventLoops(const ProgramFacts& pf) {
         chain += parts[p];
         if (p != 0) chain += " -> ";
       }
-      return chain;
+      return " via " + chain;
     };
     while (!queue.empty()) {
       const size_t fi = queue.front();
       queue.pop_front();
       const FunctionFacts& fn = pf.functions[fi];
-      for (const PurityFact& b : fn.blocking) {
-        if (LineAllows(pf, fn.file, b.line, "loop-block")) continue;
-        report("loop-block", fn, b.line,
-               "blocking call '" + b.token +
-                   "' reachable from FVAE_EVENT_LOOP " + root_name + " via " +
-                   chain_of(fi));
+      auto flag = [&](const std::vector<PurityFact>& facts,
+                      const std::string& rule, const std::string& what,
+                      const std::string& noun, const std::string& tail = "") {
+        for (const PurityFact& f : facts) {
+          // Sleeps sit in both the io and blocking sets; they report once,
+          // as loop-block.
+          if (rule == "loop-io" && facts_detail::IsBlockingCall(f.token)) {
+            continue;
+          }
+          if (LineAllows(pf, fn.file, f.line, rule)) continue;
+          report(rule, fn, f.line,
+                 what + f.token + noun + origin + path_to(fi) + tail);
+        }
+      };
+      if (loop) {
+        flag(fn.blocking, "loop-block", "blocking call '", "' reachable from ");
+        flag(fn.ios, "loop-io", "IO touch '", "' reachable from ");
+      } else {
+        flag(fn.logs, "hot-log", "logging call '", "' reachable from ");
+        flag(fn.ios, "hot-io", "IO touch '", "' reachable from ");
+        flag(fn.traces, "hot-trace", "'", "' construction reachable from ",
+             " — TraceSpan locks and may allocate; hot code stages spans "
+             "through SpanScratch::NoteSpan instead");
+        if (policy == RootPolicy::kNoAlloc) {
+          flag(fn.allocs, "hot-alloc", "heap allocation '",
+               "' reachable from ");
+        }
       }
-      for (const PurityFact& io : fn.ios) {
-        // Sleeps sit in both token sets; they report as loop-block above.
-        if (facts_detail::IsBlockingCall(io.token)) continue;
-        if (LineAllows(pf, fn.file, io.line, "loop-io")) continue;
-        report("loop-io", fn, io.line,
-               "IO touch '" + io.token + "' reachable from FVAE_EVENT_LOOP " +
-                   root_name + " via " + chain_of(fi));
-      }
+      const char* lock_rule = loop ? "loop-lock" : "hot-lock";
       for (const LockAcq& acq : fn.acquisitions) {
         const LockDecl* lock = ResolveLock(pf, fn, acq.lock);
-        if (lock != nullptr && (lock->hot_exempt || lock->loop_exempt)) {
+        if (lock != nullptr &&
+            (lock->hot_exempt || (loop && lock->loop_exempt))) {
           continue;
         }
-        if (LineAllows(pf, fn.file, acq.line, "loop-lock")) continue;
-        report("loop-lock", fn, acq.line,
-               "lock '" + (lock != nullptr ? lock->id : acq.lock) +
-                   "' (neither FVAE_LOOP_LOCK_EXEMPT nor "
-                   "FVAE_HOT_LOCK_EXEMPT) acquired on loop path from " +
-                   root_name + " via " + chain_of(fi));
+        if (LineAllows(pf, fn.file, acq.line, lock_rule)) continue;
+        const std::string id = lock != nullptr ? lock->id : acq.lock;
+        report(lock_rule, fn, acq.line,
+               loop ? "lock '" + id +
+                          "' (neither FVAE_LOOP_LOCK_EXEMPT nor "
+                          "FVAE_HOT_LOCK_EXEMPT) acquired on loop path from " +
+                          root_name + path_to(fi)
+                    : "lock '" + id +
+                          "' (not FVAE_HOT_LOCK_EXEMPT) acquired on path "
+                          "from " +
+                          origin + path_to(fi));
       }
       for (const CallSite& call : fn.calls) {
-        if (LineAllows(pf, fn.file, call.line, "loop-path")) continue;
+        if (LineAllows(pf, fn.file, call.line,
+                       loop ? "loop-path" : "hot-path")) {
+          continue;
+        }
         for (size_t ci : ResolveCall(pf, fn, call)) {
           const FunctionFacts& callee = pf.functions[ci];
-          if (callee.may_block) {
+          if (loop && callee.may_block) {
             if (!LineAllows(pf, fn.file, call.line, "loop-may-block")) {
               report("loop-may-block", fn, call.line,
                      "call to FVAE_MAY_BLOCK " + callee.qualified +
-                         " from FVAE_EVENT_LOOP " + root_name + " via " +
-                         chain_of(fi));
+                         " from " + origin + path_to(fi));
             }
             continue;  // the annotation concedes the body; do not descend
           }
@@ -693,6 +625,14 @@ inline std::vector<Finding> AnalyzeEventLoops(const ProgramFacts& pf) {
         }
       }
     }
+  };
+
+  for (size_t root = 0; root < pf.functions.size(); ++root) {
+    const FunctionFacts& fn = pf.functions[root];
+    if (fn.hot) {
+      walk(root, fn.noalloc ? RootPolicy::kNoAlloc : RootPolicy::kHot);
+    }
+    if (fn.event_loop && !fn.may_block) walk(root, RootPolicy::kEventLoop);
   }
   return findings;
 }
@@ -864,20 +804,27 @@ inline std::vector<Finding> AnalyzeEnumSwitches(const ProgramFacts& pf) {
 //   resource-escape  table-driven acquire/release: TimerWheel handles
 //                    (`TimerId id = w.Schedule(..)` ... `w.Cancel(id)`),
 //                    EpollLoop registrations of function-local fds
-//                    (`loop.Add(fd, ..)` ... `loop.Del(fd)`), and
+//                    (`loop.Add(fd, ..)` ... `loop.Del(fd)`),
 //                    AtomicFileWriter lifetimes (declaration ...
-//                    Commit()/Abort()). Every path to exit must release
-//                    the obligation or escape the resource (return it,
-//                    store it, move it, pass it to an owning callee).
+//                    Commit()/Abort()) and raw descriptors (`int fd =
+//                    ::socket(..)` / accept / accept4 / eventfd /
+//                    epoll_create1 / open ... `Fd(fd)`, `Fd name(fd)`,
+//                    `owner.Reset(fd)` or `close(fd)`). Every path to exit
+//                    must release the obligation or escape the resource
+//                    (return it, store it, move it, pass it to an owning
+//                    callee; unresolvable POSIX calls only borrow a raw
+//                    descriptor); `if (fd < 0)` clears a descriptor on the
+//                    branch where it holds. A producer call neither bound
+//                    to a local nor handed straight to an Fd owner is
+//                    reported where it stands.
 //   lock-balance     manual .Lock()/.LockShared() must be balanced by
 //                    .Unlock()/.UnlockShared() on every path; acquiring a
 //                    lock already held and releasing one not held are
-//                    reported at the site. The per-path held sets also
-//                    *correct* the linear fact extractor's lock tracking
-//                    for the legacy analyses (guarded-by, lock-cycle),
-//                    and facts recorded in CFG-unreachable statements are
-//                    dropped, which makes the event-loop and hot-path
-//                    walks path-sensitive at the intra-function level.
+//                    reported at the site. Its per-line may-held sets are
+//                    the only source of manual-lock held state for
+//                    guarded-by and lock-cycle, and facts recorded in
+//                    CFG-unreachable statements are dropped before the
+//                    reachability walk reads them (AnalyzeLockBalance).
 //   use-after-move   a local read after `std::move(local)` without an
 //                    intervening reassignment or `.clear()`-style revive;
 //                    null-checks and re-moves into checks stay silent.
@@ -1038,15 +985,22 @@ struct Reporter {
 
 /// Runs `transfer` to fixpoint and then replays every reachable node once
 /// with reporting enabled. `transfer(stmt, state, report)` mutates the
-/// state across one statement.
+/// state across one statement; `on_entry(node, state)`, when given,
+/// refines the state on entry to a node before its statements run (the
+/// if-branch conditions cfg.h records on branch entries).
 template <typename StmtTransfer>
-DataflowResult<FlowState> SolveAndReport(const FnPath& ctx, Flow missing,
-                                         StmtTransfer transfer) {
+DataflowResult<FlowState> SolveAndReport(
+    const FnPath& ctx, Flow missing, StmtTransfer transfer,
+    const std::function<void(size_t, FlowState*)>& on_entry = {}) {
+  auto run_node = [&](size_t node, FlowState* state, bool report) {
+    if (on_entry) on_entry(node, state);
+    for (const CfgStmt& s : ctx.cfg->nodes[node].stmts) {
+      transfer(s, state, report);
+    }
+  };
   auto node_transfer = [&](size_t node, const FlowState& in) {
     FlowState state = in;
-    for (const CfgStmt& s : ctx.cfg->nodes[node].stmts) {
-      transfer(s, &state, /*report=*/false);
-    }
+    run_node(node, &state, /*report=*/false);
     return state;
   };
   auto join = [missing](FlowState* acc, const FlowState& other) {
@@ -1059,11 +1013,36 @@ DataflowResult<FlowState> SolveAndReport(const FnPath& ctx, Flow missing,
   for (size_t n = 0; n < ctx.cfg->nodes.size(); ++n) {
     if (!ctx.cfg->reachable[n]) continue;
     FlowState state = result.in[n];
-    for (const CfgStmt& s : ctx.cfg->nodes[n].stmts) {
-      transfer(s, &state, /*report=*/true);
-    }
+    run_node(n, &state, /*report=*/true);
   }
   return result;
+}
+
+/// Index of the '(' that directly encloses token `i`, searching back to
+/// `begin`; SIZE_MAX when `i` sits outside any paren group.
+inline size_t EnclosingParen(const std::vector<Tok>& toks, size_t begin,
+                             size_t i) {
+  int depth = 0;
+  for (size_t j = i; j-- > begin;) {
+    if (TokPunct(toks, j, ")")) ++depth;
+    if (TokPunct(toks, j, "(") && depth-- == 0) return j;
+  }
+  return SIZE_MAX;
+}
+
+/// True when the paren group opened at `open` hands its argument straight
+/// to a net::Fd owner: `Fd(..)`, `Fd name(..)` or `owner.Reset(..)`.
+inline bool OpensFdOwner(const std::vector<Tok>& toks, size_t open) {
+  if (open == SIZE_MAX || open == 0 || !TokIdent(toks, open - 1)) {
+    return false;
+  }
+  const std::string& callee = toks[open - 1].text;
+  if (callee == "Fd") return true;
+  if (open < 2) return false;
+  if (callee == "Reset") {
+    return TokPunct(toks, open - 2, ".") || TokPunct(toks, open - 2, "->");
+  }
+  return TokIdent(toks, open - 2) && toks[open - 2].text == "Fd";
 }
 
 }  // namespace path_detail
@@ -1212,7 +1191,7 @@ inline void AnalyzeStatusPaths(const ProgramFacts& pf,
 }
 
 /// resource-escape: table-driven acquire/release over the CFG. See the
-/// section comment for the three resource kinds.
+/// section comment for the four resource kinds.
 inline void AnalyzeResourceEscapes(const ProgramFacts& pf,
                                    const SummaryMap& summaries,
                                    const std::map<size_t, Cfg>& cfgs,
@@ -1223,9 +1202,13 @@ inline void AnalyzeResourceEscapes(const ProgramFacts& pf,
   using path_detail::TokPunct;
   // Callees that release the resource passed as an argument, and member
   // calls on the resource that settle its lifetime.
-  static const std::set<std::string> kReleaseArgCallees = {"Cancel", "Del",
-                                                           "close", "Reset"};
+  static const std::set<std::string> kReleaseArgCallees = {
+      "Cancel", "Del", "close", "Reset", "Fd"};
   static const std::set<std::string> kReleaseMembers = {"Commit", "Abort"};
+  // POSIX calls that return a fresh descriptor the caller must own.
+  static const std::set<std::string> kFdProducers = {
+      "socket", "accept", "accept4", "eventfd", "epoll_create1", "open"};
+  static const std::string kRawFd = "raw descriptor";
   for (const auto& [fi, cfg] : cfgs) {
     const FunctionFacts& fn = pf.functions[fi];
     const std::vector<Tok>& toks = pf.file_tokens.at(fn.file);
@@ -1262,31 +1245,50 @@ inline void AnalyzeResourceEscapes(const ProgramFacts& pf,
         if (!borrowed) local_ints.insert(toks[i + 1].text);
       }
     }
+    auto acquire = [&](FlowState* state, const std::string& name,
+                       size_t line, const std::string& what) {
+      state->vals[name] = Flow::kB;
+      acquire_line.emplace(name, line);
+      kind.emplace(name, what);
+    };
+    // A POSIX descriptor producer call at `i`: bare or `::`-qualified, not
+    // a member (`file.open(..)`) or foreign-namespace (`util::open(..)`)
+    // call.
+    auto is_fd_producer = [&](size_t i) {
+      return TokIdent(toks, i) && kFdProducers.count(toks[i].text) > 0 &&
+             TokPunct(toks, i + 1, "(") &&
+             !(i > 0 &&
+               (TokPunct(toks, i - 1, ".") || TokPunct(toks, i - 1, "->"))) &&
+             !(i > 1 && TokPunct(toks, i - 1, "::") && TokIdent(toks, i - 2));
+    };
 
     auto transfer = [&](const CfgStmt& s, FlowState* state, bool emit) {
-      (void)emit;
       const bool is_return = path_detail::StmtIsReturn(toks, s);
-      // Acquire: TimerId NAME = <recv>.Schedule(...);
+      size_t fd_init = SIZE_MAX;  // producer call bound to a local here
       {
         size_t p = s.begin;
         while (TokIdent(toks, p) && toks[p].text == "const") ++p;
-        if (TokIdent(toks, p) && TokIdent(toks, p + 1) &&
-            TokPunct(toks, p + 2, "=")) {
-          const std::string& type = toks[p].text;
-          const std::string& name = toks[p + 1].text;
-          if (type == "TimerId") {
-            for (size_t i = p + 3; i + 1 < s.end; ++i) {
-              if (toks[i].kind == TokKind::kIdent &&
-                  toks[i].text == "Schedule" && i >= 1 &&
-                  (TokPunct(toks, i - 1, ".") ||
-                   TokPunct(toks, i - 1, "->")) &&
-                  TokPunct(toks, i + 1, "(")) {
-                state->vals[name] = Flow::kB;
-                acquire_line.emplace(name, toks[p + 1].line);
-                kind.emplace(name, "TimerWheel handle");
-                break;
-              }
+        // Acquire: TimerId NAME = <recv>.Schedule(...);
+        if (TokIdent(toks, p) && toks[p].text == "TimerId" &&
+            TokIdent(toks, p + 1) && TokPunct(toks, p + 2, "=")) {
+          for (size_t i = p + 3; i + 1 < s.end; ++i) {
+            if (TokIdent(toks, i) && toks[i].text == "Schedule" &&
+                (TokPunct(toks, i - 1, ".") || TokPunct(toks, i - 1, "->")) &&
+                TokPunct(toks, i + 1, "(")) {
+              acquire(state, toks[p + 1].text, toks[p + 1].line,
+                      "TimerWheel handle");
+              break;
             }
+          }
+        }
+        // Acquire: int|auto NAME = [::]socket(...);
+        if (TokIdent(toks, p) &&
+            (toks[p].text == "int" || toks[p].text == "auto") &&
+            TokIdent(toks, p + 1) && TokPunct(toks, p + 2, "=")) {
+          const size_t q = p + 3 + (TokPunct(toks, p + 3, "::") ? 1 : 0);
+          if (is_fd_producer(q)) {
+            acquire(state, toks[p + 1].text, toks[p + 1].line, kRawFd);
+            fd_init = q;
           }
         }
         // Acquire: AtomicFileWriter NAME ...;
@@ -1294,11 +1296,22 @@ inline void AnalyzeResourceEscapes(const ProgramFacts& pf,
             TokIdent(toks, p + 1) &&
             (TokPunct(toks, p + 2, ";") || TokPunct(toks, p + 2, "(") ||
              TokPunct(toks, p + 2, "{") || TokPunct(toks, p + 2, "="))) {
-          const std::string& name = toks[p + 1].text;
-          state->vals[name] = Flow::kB;
-          acquire_line.emplace(name, toks[p + 1].line);
-          kind.emplace(name, "AtomicFileWriter");
+          acquire(state, toks[p + 1].text, toks[p + 1].line,
+                  "AtomicFileWriter");
         }
+      }
+      // A descriptor producer that is neither bound to a local above nor
+      // handed straight to an Fd owner (nor returned) is dropped at once.
+      for (size_t i = s.begin; emit && !is_return && i < s.end; ++i) {
+        if (i == fd_init || !is_fd_producer(i)) continue;
+        if (path_detail::OpensFdOwner(
+                toks, path_detail::EnclosingParen(toks, s.begin, i))) {
+          continue;
+        }
+        report(toks[i].line, "resource-escape",
+               kRawFd + " from " + toks[i].text +
+                   "() is not handed straight to net::Fd (Fd(..), "
+                   "Fd name(..) or owner.Reset(..)), closed or returned");
       }
       // Acquire: <recv>.Add(fd, ...) with recv an EpollLoop member and fd
       // a bare local. Release: <recv>.Del(fd) and friends, below.
@@ -1318,10 +1331,8 @@ inline void AnalyzeResourceEscapes(const ProgramFacts& pf,
         if (TokPunct(toks, i + 1, "(") && TokIdent(toks, i + 2) &&
             (TokPunct(toks, i + 3, ",") || TokPunct(toks, i + 3, ")")) &&
             local_ints.count(toks[i + 2].text) > 0) {
-          const std::string& name = toks[i + 2].text;
-          state->vals[name] = Flow::kB;
-          acquire_line.emplace(name, toks[i + 2].line);
-          kind.emplace(name, "EpollLoop registration");
+          acquire(state, toks[i + 2].text, toks[i + 2].line,
+                  "EpollLoop registration");
         }
       }
       // Releases and escapes of tracked names.
@@ -1361,10 +1372,16 @@ inline void AnalyzeResourceEscapes(const ProgramFacts& pf,
               i >= fn.body_begin && i - fn.body_begin < ctx.callees.size()
                   ? ctx.callees[i - fn.body_begin]
                   : std::string();
-          if (!callee.empty() && kAcquireCallees.count(callee) == 0) {
-            if (kReleaseArgCallees.count(callee) > 0 ||
-                pf.functions_by_name.count(callee) == 0) {
-              done = true;  // releasing callee, or unresolvable: assume owns
+          if (path_detail::OpensFdOwner(
+                  toks, path_detail::EnclosingParen(toks, s.begin, i))) {
+            done = true;  // Fd(fd) / Fd owner(fd) / owner.Reset(fd)
+          } else if (!callee.empty() && kAcquireCallees.count(callee) == 0) {
+            if (kReleaseArgCallees.count(callee) > 0) {
+              done = true;
+            } else if (pf.functions_by_name.count(callee) == 0) {
+              // Unresolvable: assume it owns — except a raw descriptor,
+              // which POSIX calls (fsync, setsockopt, fcntl) only borrow.
+              done = kind.at(name) != kRawFd;
             } else {
               auto sit = summaries.find(callee);
               done = sit != summaries.end() &&
@@ -1376,9 +1393,36 @@ inline void AnalyzeResourceEscapes(const ProgramFacts& pf,
         if (done) state->vals.erase(name);
       }
     };
+    // `if (fd < 0)` / `if (fd == -1)` proves there is no descriptor to
+    // release on the branch where it holds (and `fd >= 0` / `fd != -1` on
+    // the branch where it fails).
+    auto on_entry = [&](size_t node, FlowState* state) {
+      const CfgNode& n = cfg.nodes[node];
+      const size_t b = n.cond_begin;
+      if (n.cond_end <= b || !TokIdent(toks, b)) return;
+      auto it = state->vals.find(toks[b].text);
+      auto kit = kind.find(toks[b].text);
+      if (it == state->vals.end() || kit == kind.end() ||
+          kit->second != kRawFd) {
+        return;
+      }
+      const size_t len = n.cond_end - b;
+      const bool vs_zero = len == 3 && toks[b + 2].text == "0";
+      const bool vs_minus_one = len == 4 && TokPunct(toks, b + 2, "-") &&
+                                toks[b + 3].text == "1";
+      const bool invalid_if_holds =
+          (vs_zero && TokPunct(toks, b + 1, "<")) ||
+          (vs_minus_one && TokPunct(toks, b + 1, "=="));
+      const bool valid_if_holds =
+          (vs_zero && TokPunct(toks, b + 1, ">=")) ||
+          (vs_minus_one && TokPunct(toks, b + 1, "!="));
+      if (n.cond_holds ? invalid_if_holds : valid_if_holds) {
+        state->vals.erase(it);
+      }
+    };
 
     const DataflowResult<FlowState> result =
-        path_detail::SolveAndReport(ctx, Flow::kA, transfer);
+        path_detail::SolveAndReport(ctx, Flow::kA, transfer, on_entry);
     if (!result.converged) continue;
     for (const auto& [name, val] : result.in[Cfg::kExit].vals) {
       auto ait = acquire_line.find(name);
@@ -1397,13 +1441,12 @@ inline void AnalyzeResourceEscapes(const ProgramFacts& pf,
   }
 }
 
-/// Per-function result of the lock-balance pass, including the per-line
-/// may-held manual-lock sets used to correct the linear extractor's held
-/// sets for the legacy analyses.
+/// Per-function result of the lock-balance pass: the manual locks it
+/// tracked and, per line, the ones that may be held there — the only
+/// source of manual-lock held sets for guarded-by and lock-cycle.
 struct LockBalanceFn {
   std::set<std::string> manual_names;
   std::map<size_t, std::set<std::string>> may_held;  // line -> lock names
-  bool analyzed = false;
 };
 
 /// lock-balance: manual lock acquire/release balance over the CFG.
@@ -1429,21 +1472,18 @@ inline LockBalanceFn AnalyzeLockBalanceFn(const path_detail::FnPath& ctx,
 
   Reporter report{&ctx, findings, {}};
   std::map<std::string, size_t> acquire_line;
-  auto transfer = [&](const CfgStmt& s, FlowState* state, bool emit) {
-    auto note_line = [&](size_t line) {
-      if (!emit) return;
-      std::set<std::string>& held = out.may_held[line];
-      for (const auto& [name, val] : state->vals) {
-        (void)val;  // kB and kMixed both mean possibly held
-        held.insert(name);
-      }
-    };
-    if (emit) {
-      for (size_t i = s.begin; i < s.end && i < toks.size(); ++i) {
-        note_line(toks[i].line);
-      }
+  // Every token's line notes the locks that may be held just before it,
+  // so a line records the state before and after each lock call on it.
+  auto note = [&](size_t i, const FlowState& state) {
+    std::set<std::string>& held = out.may_held[toks[i].line];
+    for (const auto& [name, val] : state.vals) {
+      (void)val;  // kB and kMixed both mean possibly held
+      held.insert(name);
     }
+  };
+  auto transfer = [&](const CfgStmt& s, FlowState* state, bool emit) {
     for (size_t i = s.begin; i < s.end && i < toks.size(); ++i) {
+      if (emit) note(i, *state);
       if (toks[i].kind != TokKind::kIdent || !TokPunct(toks, i + 1, "(") ||
           i < 2 ||
           !(TokPunct(toks, i - 1, ".") || TokPunct(toks, i - 1, "->")) ||
@@ -1472,17 +1512,12 @@ inline LockBalanceFn AnalyzeLockBalanceFn(const path_detail::FnPath& ctx,
         state->vals.erase(lock);
       }
     }
-    if (emit) {
-      for (size_t i = s.begin; i < s.end && i < toks.size(); ++i) {
-        note_line(toks[i].line);
-      }
-    }
+    if (emit && s.end > s.begin) note(s.end - 1, *state);
   };
 
   const DataflowResult<FlowState> result =
       path_detail::SolveAndReport(ctx, Flow::kA, transfer);
   if (!result.converged) return out;
-  out.analyzed = true;
   for (const auto& [name, val] : result.in[Cfg::kExit].vals) {
     auto ait = acquire_line.find(name);
     const size_t line = ait != acquire_line.end() ? ait->second : fn.line;
@@ -1643,20 +1678,19 @@ inline std::map<size_t, Cfg> BuildFunctionCfgs(const ProgramFacts& pf) {
   return cfgs;
 }
 
-/// Runs lock-balance over every function and applies the two CFG-driven
-/// corrections to the linear extractor's facts, which is what makes the
-/// *legacy* analyses path-sensitive:
+/// Runs lock-balance over every function and feeds its results back into
+/// the facts the fact-level analyses read:
 ///
-///   1. held-set correction — for manual (non-RAII) locks the linear walk
-///      can only guess across early exits; the per-line may-held sets
-///      from the dataflow solve replace its guesses on every CallSite,
-///      MemberAccess and LockNest.
+///   1. manual-lock held sets — the fact extractor tracks only RAII
+///      guards; every call site, member access and lock acquisition on a
+///      line where a manual lock may be held gains that lock (and the
+///      matching lock-order nesting), straight from the dataflow solve.
 ///   2. unreachable-fact dropping — blocking/io/log/alloc/trace facts on
 ///      lines covered only by CFG-unreachable statements (dead code after
-///      a terminator) are removed, so the event-loop and hot-path walks
-///      no longer flag code no path executes.
+///      a terminator) are removed, so the reachability walk does not flag
+///      code no path executes.
 ///
-/// Must run before the legacy analyses read the facts.
+/// Must run before the fact-level analyses read the facts.
 inline void AnalyzeLockBalance(ProgramFacts* pf, const SummaryMap& summaries,
                                const std::map<size_t, Cfg>& cfgs,
                                std::vector<Finding>* findings) {
@@ -1666,148 +1700,126 @@ inline void AnalyzeLockBalance(ProgramFacts* pf, const SummaryMap& summaries,
     path_detail::FnPath ctx{pf, &summaries, &fn, &toks, &cfg, {}};
     const LockBalanceFn lb = AnalyzeLockBalanceFn(ctx, findings);
 
-    // Correction 2: drop facts recorded in dead code.
-    bool any_unreachable = false;
-    if (!cfg.truncated) {
-      for (size_t n2 = 0; n2 < cfg.nodes.size(); ++n2) {
-        if (!cfg.reachable[n2] && !cfg.nodes[n2].stmts.empty()) {
-          any_unreachable = true;
-          break;
+    // 1. Manual-lock held sets.
+    auto held_at = [&lb](size_t line) -> const std::set<std::string>* {
+      auto mit = lb.may_held.find(line);
+      return mit == lb.may_held.end() || mit->second.empty() ? nullptr
+                                                              : &mit->second;
+    };
+    auto add_held = [&](std::vector<std::string>* held, size_t line) {
+      const std::set<std::string>* may = held_at(line);
+      if (may == nullptr) return;
+      for (const std::string& name : *may) {
+        if (std::find(held->begin(), held->end(), name) == held->end()) {
+          held->push_back(name);
         }
       }
-    }
-    if (any_unreachable) {
-      std::set<size_t> reach_lines, unreach_lines;
-      for (size_t n2 = 0; n2 < cfg.nodes.size(); ++n2) {
-        for (const CfgStmt& s : cfg.nodes[n2].stmts) {
-          for (size_t i = s.begin; i < s.end && i < toks.size(); ++i) {
-            (cfg.reachable[n2] ? reach_lines : unreach_lines)
-                .insert(toks[i].line);
-          }
-        }
+    };
+    for (CallSite& c : fn.calls) add_held(&c.held, c.line);
+    for (MemberAccess& a : fn.accesses) add_held(&a.held, a.line);
+    for (const LockAcq& acq : fn.acquisitions) {
+      const std::set<std::string>* may = held_at(acq.line);
+      if (may == nullptr) continue;
+      for (const std::string& name : *may) {
+        if (name != acq.lock) fn.nests.push_back({name, acq.lock, acq.line});
       }
-      auto dead = [&](size_t line) {
-        return unreach_lines.count(line) > 0 && reach_lines.count(line) == 0;
-      };
-      auto prune = [&](std::vector<PurityFact>* facts) {
-        facts->erase(
-            std::remove_if(facts->begin(), facts->end(),
-                           [&](const PurityFact& f) { return dead(f.line); }),
-            facts->end());
-      };
-      prune(&fn.blocking);
-      prune(&fn.ios);
-      prune(&fn.logs);
-      prune(&fn.allocs);
-      prune(&fn.traces);
     }
 
-    // Correction 1: manual-lock held sets.
-    if (!lb.analyzed || lb.manual_names.empty()) continue;
-    auto fix_held = [&](std::vector<std::string>* held, size_t line) {
-      auto mit = lb.may_held.find(line);
-      const std::set<std::string>* may =
-          mit != lb.may_held.end() ? &mit->second : nullptr;
-      std::vector<std::string> fixed;
-      for (const std::string& name : *held) {
-        if (lb.manual_names.count(name) == 0 ||
-            (may != nullptr && may->count(name) > 0)) {
-          fixed.push_back(name);
+    // 2. Drop facts recorded in dead code.
+    bool any_dead = false;
+    for (size_t n = 0; n < cfg.nodes.size() && !cfg.truncated; ++n) {
+      any_dead = any_dead ||
+                 (!cfg.reachable[n] && !cfg.nodes[n].stmts.empty());
+    }
+    if (!any_dead) continue;
+    std::set<size_t> reach_lines, unreach_lines;
+    for (size_t n = 0; n < cfg.nodes.size(); ++n) {
+      for (const CfgStmt& st : cfg.nodes[n].stmts) {
+        for (size_t i = st.begin; i < st.end && i < toks.size(); ++i) {
+          (cfg.reachable[n] ? reach_lines : unreach_lines)
+              .insert(toks[i].line);
         }
       }
-      if (may != nullptr) {
-        for (const std::string& name : *may) {
-          if (std::find(fixed.begin(), fixed.end(), name) == fixed.end()) {
-            fixed.push_back(name);
-          }
-        }
-      }
-      *held = std::move(fixed);
+    }
+    auto prune = [&](std::vector<PurityFact>* facts) {
+      facts->erase(std::remove_if(facts->begin(), facts->end(),
+                                  [&](const PurityFact& f) {
+                                    return unreach_lines.count(f.line) > 0 &&
+                                           reach_lines.count(f.line) == 0;
+                                  }),
+                   facts->end());
     };
-    for (CallSite& c : fn.calls) fix_held(&c.held, c.line);
-    for (MemberAccess& a : fn.accesses) fix_held(&a.held, a.line);
-    fn.nests.erase(
-        std::remove_if(fn.nests.begin(), fn.nests.end(),
-                       [&](const LockNest& nest) {
-                         if (lb.manual_names.count(nest.held) == 0) {
-                           return false;
-                         }
-                         auto mit = lb.may_held.find(nest.line);
-                         return mit == lb.may_held.end() ||
-                                mit->second.count(nest.held) == 0;
-                       }),
-        fn.nests.end());
+    prune(&fn.blocking);
+    prune(&fn.ios);
+    prune(&fn.logs);
+    prune(&fn.allocs);
+    prune(&fn.traces);
   }
 }
 
-/// Wall-clock cost of each whole-program pass; surfaced in the lint report
-/// and enforced by the fvae_lint ctest's --budget-ms self-runtime gate.
-struct AnalysisTiming {
-  double link_ms = 0;
-  double lock_cycle_ms = 0;
-  double hot_path_ms = 0;
-  double event_loop_ms = 0;
-  double guarded_by_ms = 0;
-  double verb_switch_ms = 0;
-  double cfg_ms = 0;  // CFG construction + interprocedural summaries
-  double lock_balance_ms = 0;
-  double status_path_ms = 0;
-  double resource_escape_ms = 0;
-  double use_after_move_ms = 0;
+/// Wall-clock cost of one lint phase; surfaced in the lint report and
+/// enforced by the fvae_lint ctest's --budget-ms self-runtime gate.
+struct PhaseTime {
+  std::string phase;
+  double ms = 0;
+};
+
+/// Appends one PhaseTime per Mark() — the time since the previous mark —
+/// to `out` (nullptr: timing is not wanted, marks are free).
+class PhaseClock {
+ public:
+  explicit PhaseClock(std::vector<PhaseTime>* out)
+      : out_(out), last_(Clock::now()) {}
+  void Mark(const char* phase) {
+    if (out_ == nullptr) return;
+    const Clock::time_point now = Clock::now();
+    out_->push_back(
+        {phase, std::chrono::duration<double, std::milli>(now - last_)
+                    .count()});
+    last_ = now;
+  }
+
+ private:
+  using Clock = std::chrono::steady_clock;
+  std::vector<PhaseTime>* out_;
+  Clock::time_point last_;
 };
 
 /// Runs the whole-program analyses over a file set: first the CFG build,
-/// interprocedural summaries and the lock-balance pass (whose corrections
-/// the legacy fact-walks depend on), then the legacy five (lock-cycle,
-/// hot-path, event-loop, guarded-by, verb-switch), then the remaining
-/// path-sensitive analyses (status-path, resource-escape, use-after-move).
-inline std::vector<Finding> AnalyzeProgram(const std::vector<SourceFile>& files,
-                                           AnalysisTiming* timing = nullptr) {
-  using Clock = std::chrono::steady_clock;
-  auto ms = [](Clock::time_point a, Clock::time_point b) {
-    return std::chrono::duration<double, std::milli>(b - a).count();
-  };
-  const auto t0 = Clock::now();
+/// interprocedural summaries and the lock-balance pass (whose results the
+/// fact-level analyses depend on), then lock-cycle, reachability,
+/// guarded-by and verb-switch, then the remaining path-sensitive analyses
+/// (status-path, resource-escape, use-after-move). With `phases`, one
+/// timing per pass is appended in that order.
+inline std::vector<Finding> AnalyzeProgram(
+    const std::vector<SourceFile>& files,
+    std::vector<PhaseTime>* phases = nullptr) {
+  PhaseClock clock(phases);
   ProgramFacts pf = LinkProgram(files);
-  const auto t1 = Clock::now();
+  clock.Mark("link");
   const std::map<size_t, Cfg> cfgs = BuildFunctionCfgs(pf);
   const SummaryMap summaries = ComputeSummaries(pf);
-  const auto t_cfg = Clock::now();
+  clock.Mark("cfg");  // CFG construction + interprocedural summaries
   std::vector<Finding> findings;
   AnalyzeLockBalance(&pf, summaries, cfgs, &findings);
-  const auto t_lb = Clock::now();
+  clock.Mark("lock_balance");
   auto append = [&findings](std::vector<Finding> more) {
     findings.insert(findings.end(), more.begin(), more.end());
   };
   append(AnalyzeLockOrder(pf));
-  const auto t2 = Clock::now();
-  append(AnalyzeHotPaths(pf));
-  const auto t3 = Clock::now();
-  append(AnalyzeEventLoops(pf));
-  const auto t4 = Clock::now();
+  clock.Mark("lock_cycle");
+  append(AnalyzeReachability(pf));
+  clock.Mark("reachability");
   append(AnalyzeGuardedBy(pf));
-  const auto t5 = Clock::now();
+  clock.Mark("guarded_by");
   append(AnalyzeEnumSwitches(pf));
-  const auto t6 = Clock::now();
+  clock.Mark("verb_switch");
   AnalyzeStatusPaths(pf, summaries, cfgs, &findings);
-  const auto t7 = Clock::now();
+  clock.Mark("status_path");
   AnalyzeResourceEscapes(pf, summaries, cfgs, &findings);
-  const auto t8 = Clock::now();
+  clock.Mark("resource_escape");
   AnalyzeUseAfterMove(pf, summaries, cfgs, &findings);
-  const auto t9 = Clock::now();
-  if (timing != nullptr) {
-    timing->link_ms = ms(t0, t1);
-    timing->cfg_ms = ms(t1, t_cfg);
-    timing->lock_balance_ms = ms(t_cfg, t_lb);
-    timing->lock_cycle_ms = ms(t_lb, t2);
-    timing->hot_path_ms = ms(t2, t3);
-    timing->event_loop_ms = ms(t3, t4);
-    timing->guarded_by_ms = ms(t4, t5);
-    timing->verb_switch_ms = ms(t5, t6);
-    timing->status_path_ms = ms(t6, t7);
-    timing->resource_escape_ms = ms(t7, t8);
-    timing->use_after_move_ms = ms(t8, t9);
-  }
+  clock.Mark("use_after_move");
   std::sort(findings.begin(), findings.end(),
             [](const Finding& a, const Finding& b) {
               if (a.file != b.file) return a.file < b.file;

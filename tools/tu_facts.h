@@ -18,9 +18,11 @@
 ///   - call sites inside each function (qualifier chain + last name), with
 ///     the set of locks held at the call;
 ///   - lock acquisitions: RAII guards (MutexLock / WriterMutexLock /
-///     ReaderMutexLock, scope-tracked) and manual .Lock()/.LockShared()
-///     (released by the matching .Unlock()), plus the observed nesting
-///     pairs "Y acquired while X held";
+///     ReaderMutexLock, held until their scope closes) and manual
+///     .Lock()/.LockShared(), plus the observed nesting pairs "Y acquired
+///     while X held". Which lines a *manual* lock is held on depends on
+///     the path, so those held sets come from the lock-balance solve in
+///     lint_graph.h, not from this linear walk;
 ///   - heap allocations (`new`, malloc family, make_unique/make_shared,
 ///     growing container calls), logging calls and IO touches, each with
 ///     its line — the raw material of the hot-path purity analysis;
@@ -295,12 +297,10 @@ struct Scope {
   int enum_index = -1;    // kBlock that is an enum body: TuFacts::enums
 };
 
-/// A held lock: RAII guards record the scope depth that releases them;
-/// manual .Lock() entries (depth 0, manual=true) wait for .Unlock().
+/// A held RAII guard and the scope depth whose closing brace releases it.
 struct HeldLock {
   std::string name;
   size_t depth = 0;
-  bool manual = false;
 };
 
 inline std::string JoinQualified(const std::string& ns, const std::string& cls,
@@ -504,7 +504,7 @@ inline TuFacts ExtractTuFacts(const std::string& path_label,
   TuFacts facts;
   std::vector<Scope> stack;
   std::vector<Tok> decl;          // declaration buffer at the current level
-  std::vector<HeldLock> held;     // active lock acquisitions (in functions)
+  std::vector<HeldLock> held;     // RAII guards in scope (in functions)
   int paren_depth = 0;            // live paren depth (for '{' inside args)
 
   auto current_ns = [&stack] {
@@ -544,13 +544,13 @@ inline TuFacts ExtractTuFacts(const std::string& path_label,
   };
 
   /// Registers an acquisition of `lock` in the current function: records
-  /// the fact, the nesting pairs against everything currently held, and
-  /// pushes the new hold.
+  /// the fact and the nesting pairs against every RAII guard in scope; an
+  /// RAII guard is then held until its scope closes.
   auto acquire = [&](FunctionFacts* fn, const std::string& lock, size_t line,
-                     bool manual) {
+                     bool raii) {
     fn->acquisitions.push_back({lock, line});
     for (const HeldLock& h : held) fn->nests.push_back({h.name, lock, line});
-    held.push_back({lock, stack.size(), manual});
+    if (raii) held.push_back({lock, stack.size()});
   };
 
   /// Classifies the declaration buffer when a '{' opens a new scope.
@@ -847,18 +847,14 @@ inline TuFacts ExtractTuFacts(const std::string& path_label,
       }
       if (tok.text == "}") {
         if (!stack.empty()) {
-          const bool leaving_function =
-              stack.back().kind == Scope::kFunction;
-          if (leaving_function) {
+          if (stack.back().kind == Scope::kFunction) {
             facts.functions[stack.back().func_index].body_end = i;
           }
           stack.pop_back();
-          // Release RAII guards whose scope just closed; a function exit
-          // also clears manual holds (nothing outlives the body).
+          // Release RAII guards whose scope just closed.
           const size_t depth = stack.size();
           for (size_t h = held.size(); h-- > 0;) {
-            if ((!held[h].manual && held[h].depth > depth) ||
-                (leaving_function && current_function() == nullptr)) {
+            if (held[h].depth > depth) {
               held.erase(held.begin() + static_cast<long>(h));
             }
           }
@@ -922,56 +918,22 @@ inline TuFacts ExtractTuFacts(const std::string& path_label,
           ++j;
         }
         if (!lock_name.empty()) {
-          acquire(fn, lock_name, tok.line, /*manual=*/false);
+          acquire(fn, lock_name, tok.line, /*raii=*/true);
         }
       }
       continue;
     }
     // Manual lock/unlock: expr.Lock() / expr.Unlock() (and Shared forms).
-    if (after_member && (id == "Lock" || id == "LockShared") &&
+    // The acquisition is a fact; which later lines hold it is path-
+    // dependent and comes from lint_graph.h's lock-balance solve.
+    if (after_member &&
+        (id == "Lock" || id == "LockShared" || id == "Unlock" ||
+         id == "UnlockShared") &&
         next != nullptr && next->text == "(") {
       // Lock name: identifier right before the '.'/'->'.
-      if (i >= 2 && tokens[i - 2].kind == TokKind::kIdent) {
-        acquire(fn, tokens[i - 2].text, tok.line, /*manual=*/true);
-      }
-      continue;
-    }
-    if (after_member && (id == "Unlock" || id == "UnlockShared") &&
-        next != nullptr && next->text == "(") {
-      // `mu_.Unlock(); return;` (or break/continue) is an early exit: the
-      // linear token walk proceeds into the fall-through path, where the
-      // lock is still held, so the release must not apply there.
-      bool early_exit = false;
-      {
-        size_t j = i + 1;  // at '('
-        int depth = 0;
-        while (j < tokens.size()) {
-          if (tokens[j].kind == TokKind::kPunct) {
-            if (tokens[j].text == "(") ++depth;
-            if (tokens[j].text == ")" && --depth == 0) {
-              ++j;
-              break;
-            }
-          }
-          ++j;
-        }
-        if (j + 1 < tokens.size() && tokens[j].kind == TokKind::kPunct &&
-            tokens[j].text == ";" &&
-            tokens[j + 1].kind == TokKind::kIdent &&
-            (tokens[j + 1].text == "return" ||
-             tokens[j + 1].text == "break" ||
-             tokens[j + 1].text == "continue")) {
-          early_exit = true;
-        }
-      }
-      if (!early_exit && i >= 2 && tokens[i - 2].kind == TokKind::kIdent) {
-        const std::string& name = tokens[i - 2].text;
-        for (size_t h = held.size(); h-- > 0;) {
-          if (held[h].name == name) {
-            held.erase(held.begin() + static_cast<long>(h));
-            break;
-          }
-        }
+      if ((id == "Lock" || id == "LockShared") && i >= 2 &&
+          tokens[i - 2].kind == TokKind::kIdent) {
+        acquire(fn, tokens[i - 2].text, tok.line, /*raii=*/false);
       }
       continue;
     }
