@@ -91,8 +91,8 @@ IsaNumbers MeasureIsa(const core::FieldVae& model,
   });
   out.tanh_melems_s = tanh_calls_s * double(kElems) / 1e6;
 
-  // Cold fold-in encode in micro-batches of 8 (the batcher's steady-state
-  // shape under modest concurrency), persistent scratch as in serving.
+  // Cold fold-in encode in batches of 8, persistent scratch as in
+  // serving.
   core::FieldVae::FoldInScratch foldin_scratch;
   Matrix mu;
   const size_t batch = 8;

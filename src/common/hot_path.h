@@ -9,7 +9,7 @@
 /// Conventions (docs/ARCHITECTURE.md §7):
 ///
 ///  - `FVAE_HOT` marks a function on the serving fold-in encode chain
-///    (ServingProxy lookup -> RequestBatcher dispatch -> FieldVae encode ->
+///    (ServingProxy lookup -> FvaeFoldInEncoder -> FieldVae encode ->
 ///    GEMM kernels). The linter transitively walks every resolvable callee
 ///    and fails if any reachable function logs, does IO, or acquires a
 ///    lock whose declaration is not marked FVAE_HOT_LOCK_EXEMPT.
@@ -23,8 +23,7 @@
 ///    interposer.
 ///
 ///  - `FVAE_HOT_LOCK_EXEMPT` goes on a Mutex/SharedMutex *member
-///    declaration* whose acquisition on a hot path is by design (e.g. the
-///    encoder-serialization mutex the micro-batcher amortizes, or a
+///    declaration* whose acquisition on a hot path is by design (e.g. a
 ///    sharded store's reader locks). Exemption is per-lock, not per-call:
 ///    every acquisition site of that member is allowed.
 ///

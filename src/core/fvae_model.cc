@@ -154,7 +154,9 @@ void FieldVae::EncodeInternal(const MultiFieldDataset& dataset,
 void FieldVae::EncodeConst(const MultiFieldDataset& dataset,
                            std::span<const uint32_t> users, Matrix* mu,
                            Matrix* logvar) const {
-  // Lookups are read-only; layer forward passes touch only scratch caches.
+  // Lookups are read-only, but the shared EncodeInternal runs the layers'
+  // training Forward, which writes their backward caches — hence the
+  // const_cast, and why Encode is not reentrant (EncodeFoldInInto is).
   auto* self = const_cast<FieldVae*>(this);
   self->EncodeInternal(dataset, users, /*training=*/false, mu, logvar,
                        nullptr);
@@ -212,22 +214,19 @@ void FieldVae::EncodeFoldInInto(std::span<const RawUserFeatures* const> users,
     }
     Kernels().tanh_inplace(out, h1_dim);
   }
-  // Layer forward passes touch member scratch only (same const_cast
-  // rationale as EncodeConst); the logvar head is never run — fold-in
-  // consumers use the posterior mean alone.
-  auto* self = const_cast<FieldVae*>(this);
+  // The logvar head is never run — fold-in consumers use the posterior
+  // mean alone.
   const Matrix* enc_out = &h1;
   if (encoder_trunk_) {
-    self->encoder_trunk_->Forward(h1, &scratch->trunk_out,
-                                  /*training=*/false);
+    encoder_trunk_->Infer(h1, &scratch->trunk_out, &scratch->trunk_acts);
     enc_out = &scratch->trunk_out;
   }
-  self->mu_head_->Forward(*enc_out, mu, /*training=*/false);
+  mu_head_->Infer(*enc_out, mu);
 }
 
 Matrix FieldVae::DecoderHidden(const Matrix& z) const {
   Matrix hidden;
-  decoder_trunk_->Forward(z, &hidden, /*training=*/false);
+  decoder_trunk_->Infer(z, &hidden);
   return hidden;
 }
 
@@ -235,7 +234,7 @@ Matrix FieldVae::ScoreField(const Matrix& z, size_t k,
                             std::span<const uint64_t> candidate_ids) const {
   FVAE_CHECK(k < field_schemas_.size()) << "field out of range";
   Matrix hdec;
-  decoder_trunk_->Forward(z, &hdec, /*training=*/false);
+  decoder_trunk_->Infer(z, &hdec);
 
   const nn::EmbeddingTable& table = *output_tables_[k];
   const size_t num_candidates = candidate_ids.size();

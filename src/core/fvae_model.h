@@ -67,11 +67,13 @@ class FieldVae {
                       std::span<const uint32_t> users, float beta);
 
   /// Posterior means (num users x latent_dim) — the user embeddings.
-  /// Unknown feature IDs are skipped (cold-start behaviour).
+  /// Unknown feature IDs are skipped (cold-start behaviour). Not reentrant:
+  /// it shares the training encoder's layer caches, so concurrent callers
+  /// use EncodeFoldIn instead.
   Matrix Encode(const MultiFieldDataset& dataset,
                 std::span<const uint32_t> users) const;
 
-  /// Posterior means and log-variances.
+  /// Posterior means and log-variances. Not reentrant (as Encode).
   void EncodeWithVariance(const MultiFieldDataset& dataset,
                           std::span<const uint32_t> users, Matrix* mu,
                           Matrix* logvar) const;
@@ -80,19 +82,16 @@ class FieldVae {
   /// (users.size() x latent_dim) for users given directly as raw sparse
   /// field vectors. Each element must have num_fields() entries; unknown
   /// feature IDs are skipped (cold-feature behaviour, same as Encode).
-  ///
-  /// NOT safe for concurrent callers (layer forward passes reuse member
-  /// scratch buffers) — the serving layer serializes calls through
-  /// serving::FvaeFoldInEncoder, which is exactly why its micro-batcher
-  /// amortizes rather than parallelizes encoder GEMMs.
+  /// Safe for concurrent callers, as EncodeFoldInInto.
   Matrix EncodeFoldIn(std::span<const RawUserFeatures* const> users) const;
 
   /// Reusable scratch for EncodeFoldInInto. Keeping one alive across calls
-  /// (per serializing owner) makes a warmed-up fold-in encode
+  /// (one per calling thread) makes a warmed-up fold-in encode
   /// allocation-free: the matrices only grow to the high-water batch shape.
   struct FoldInScratch {
     Matrix h1;         // batch x encoder_hidden[0]
     Matrix trunk_out;  // batch x encoder_hidden.back(), when trunk exists
+    std::vector<Matrix> trunk_acts;  // the trunk's hidden-layer outputs
   };
 
   /// Allocation-conscious fold-in encode: writes the posterior means
@@ -103,8 +102,9 @@ class FieldVae {
   /// GEMM less per request batch. Once scratch/mu have seen the maximum
   /// batch shape a call performs zero heap allocations (runtime-witnessed
   /// by serving_test's operator-new interposer; statically checked by
-  /// fvae_lint's FVAE_NOALLOC walk). Same concurrency contract as
-  /// EncodeFoldIn: not safe for concurrent callers.
+  /// fvae_lint's FVAE_NOALLOC walk). Reentrant: the model is only read
+  /// (nn::Layer::Infer), so concurrent callers are safe as long as each
+  /// owns its `scratch` and `mu` and nothing trains the model meanwhile.
   void EncodeFoldInInto(std::span<const RawUserFeatures* const> users,
                         FoldInScratch* scratch, Matrix* mu) const
       FVAE_HOT FVAE_NOALLOC;

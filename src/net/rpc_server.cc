@@ -27,8 +27,6 @@ struct RpcServer::Connection {
   bool paused = false;
   /// EPOLLOUT currently armed.
   bool want_write = false;
-  /// Fold-in requests dispatched to the batcher, responses not yet queued.
-  size_t inflight = 0;
   /// Micros timestamp of the first byte of the frame being assembled;
   /// 0 = no partial frame pending. The slow-loris clock.
   int64_t incomplete_since = 0;
@@ -286,19 +284,7 @@ void RpcServer::DispatchFrame(Worker* worker, Connection* conn,
                       msg.size());
         break;
       }
-      serving::EmbeddingService::EmbeddingResult result =
-          service_->Lookup(*user);
-      if (result.ok()) {
-        std::vector<uint8_t> payload;
-        EncodeEmbeddingResponse(payload, *result);
-        QueueResponse(worker, conn, req, WireStatus::kOk, payload.data(),
-                      payload.size());
-      } else {
-        const std::string& msg = result.status().message();
-        QueueResponse(worker, conn, req, ToWireStatus(result.status()),
-                      reinterpret_cast<const uint8_t*>(msg.data()),
-                      msg.size());
-      }
+      QueueEmbedding(worker, conn, req, service_->Lookup(*user));
       break;
     }
     case Verb::kEncodeFoldIn: {
@@ -312,40 +298,30 @@ void RpcServer::DispatchFrame(Worker* worker, Connection* conn,
                       msg.size());
         break;
       }
-      ++conn->inflight;
-      const uint64_t conn_id = conn->id;
-      // The completion may fire on a batcher thread; hop back to the loop
-      // and re-resolve the connection by id (it may be gone by then). The
-      // ambient trace context is live here, so the batcher submission
-      // captures it synchronously and req (POD, by value) carries it back
-      // for the reply span.
+      // The service encodes on this thread and calls back before
+      // returning, so the reply is queued in place, as for kLookup.
       service_->LookupOrEncodeAsync(
           request->user_id, request->features, /*deadline_micros=*/0,
-          [this, worker, conn_id,
-           req](serving::EmbeddingService::EmbeddingResult result) {
-            worker->loop.Post([this, worker, conn_id, req,
-                               result = std::move(result)]() {
-              auto it = worker->connections.find(conn_id);
-              if (it == worker->connections.end()) return;
-              Connection* conn = it->second.get();
-              --conn->inflight;
-              if (result.ok()) {
-                std::vector<uint8_t> payload;
-                EncodeEmbeddingResponse(payload, *result);
-                QueueResponse(worker, conn, req, WireStatus::kOk,
-                              payload.data(), payload.size());
-              } else {
-                const std::string& msg = result.status().message();
-                QueueResponse(worker, conn, req,
-                              ToWireStatus(result.status()),
-                              reinterpret_cast<const uint8_t*>(msg.data()),
-                              msg.size());
-              }
-              if (worker->draining) MaybeFinishDrain(worker, conn);
-            });
+          [&](serving::EmbeddingService::EmbeddingResult result) {
+            QueueEmbedding(worker, conn, req, std::move(result));
           });
       break;
     }
+  }
+}
+
+void RpcServer::QueueEmbedding(
+    Worker* worker, Connection* conn, const RequestState& req,
+    serving::EmbeddingService::EmbeddingResult result) {
+  if (result.ok()) {
+    std::vector<uint8_t> payload;
+    EncodeEmbeddingResponse(payload, *result);
+    QueueResponse(worker, conn, req, WireStatus::kOk, payload.data(),
+                  payload.size());
+  } else {
+    const std::string& msg = result.status().message();
+    QueueResponse(worker, conn, req, ToWireStatus(result.status()),
+                  reinterpret_cast<const uint8_t*>(msg.data()), msg.size());
   }
 }
 
@@ -355,8 +331,8 @@ void RpcServer::QueueResponse(Worker* worker, Connection* conn,
   const int64_t now_us = MonotonicMicros();
   const double latency_us = static_cast<double>(now_us - req.start_us);
   // One reply span per request, parented on the client's send span, so the
-  // stitched trace shows the full server-side envelope (queue wait for
-  // fold-ins included — this runs after the batcher hop, not at dispatch).
+  // stitched trace shows the full server-side envelope (the fold-in encode
+  // included).
   obs::TraceRecorder& recorder = obs::TraceRecorder::Global();
   if (recorder.enabled() && req.trace.valid()) {
     const obs::TraceContext reply_ctx{req.trace.trace_id, obs::MintSpanId()};
@@ -447,11 +423,11 @@ void RpcServer::CloseConnection(Worker* worker, uint64_t conn_id) {
   conn->fd.Reset();  // eager close: the peer sees EOF/RST immediately
   metrics_.connections_closed.Increment();
   metrics_.UpdateOpenConnections(-1);
-  // Fold-in completions still in flight address the connection by id and
-  // find it gone. But callers up the current stack (ReadFrames loops,
-  // HandleIo) still hold `conn` and test `conn->closing` after this
-  // returns, so the object must outlive the event: park it in the
-  // graveyard, freed at the next top-of-event safe point.
+  // Later tasks and timers address the connection by id and find it gone.
+  // But callers up the current stack (ReadFrames loops, HandleIo) still
+  // hold `conn` and test `conn->closing` after this returns, so the object
+  // must outlive the event: park it in the graveyard, freed at the next
+  // top-of-event safe point.
   worker->reaped.push_back(std::move(it->second));
   worker->connections.erase(it);
   if (worker->draining && worker->connections.empty()) {
@@ -460,7 +436,7 @@ void RpcServer::CloseConnection(Worker* worker, uint64_t conn_id) {
 }
 
 void RpcServer::MaybeFinishDrain(Worker* worker, Connection* conn) {
-  if (conn->inflight == 0 && conn->pending_write_bytes() == 0) {
+  if (conn->pending_write_bytes() == 0) {
     CloseConnection(worker, conn->id);
   }
 }

@@ -47,11 +47,12 @@ struct RpcServerOptions {
 /// One acceptor thread distributes connections round-robin to N worker
 /// threads; each worker runs a private EpollLoop that owns its connections
 /// outright, so the data path is lock-free — frames are parsed, dispatched
-/// and answered entirely on the owning loop thread. The only cross-thread
-/// hops are the acceptor's connection handoff and fold-in completions
-/// (batcher worker -> loop), both via EpollLoop::Post. Connections are
-/// addressed by a monotonically increasing id, never by fd, so a completion
-/// racing a close cannot hit a recycled descriptor.
+/// and answered entirely on the owning loop thread — fold-ins included: the
+/// service encodes a cold user on the loop thread that asks. The only
+/// cross-thread hops are the acceptor's connection handoff and Stop's
+/// drain, both via EpollLoop::Post. Connections are addressed by a
+/// monotonically increasing id, never by fd, so a task racing a close
+/// cannot hit a recycled descriptor.
 class RpcServer {
  public:
   /// `service` must outlive the server. `registry` null keeps the server's
@@ -79,8 +80,7 @@ class RpcServer {
   struct Connection;
 
   /// Per-request bookkeeping threaded from frame arrival to response
-  /// queueing — across the batcher completion hop for fold-ins. POD by
-  /// design: it is captured by value into cross-thread lambdas.
+  /// queueing. POD by design.
   struct RequestState {
     uint64_t tag = 0;
     Verb verb = Verb::kHealth;
@@ -130,6 +130,10 @@ class RpcServer {
                                      const RequestState& req,
                                      WireStatus status, const uint8_t* payload,
                                      size_t payload_size);
+  /// QueueResponse for an embedding answer: the vector, or the status.
+  FVAE_EVENT_LOOP void QueueEmbedding(
+      Worker* worker, Connection* conn, const RequestState& req,
+      serving::EmbeddingService::EmbeddingResult result);
   FVAE_EVENT_LOOP void FlushWrites(Worker* worker, Connection* conn);
   FVAE_EVENT_LOOP void UpdateInterest(Worker* worker, Connection* conn);
   FVAE_EVENT_LOOP void CloseConnection(Worker* worker, uint64_t conn_id);

@@ -11,6 +11,7 @@ namespace fvae::nn {
 class TanhLayer : public Layer {
  public:
   void Forward(const Matrix& input, Matrix* output, bool training) override;
+  void Infer(const Matrix& input, Matrix* output) const override;
   void Backward(const Matrix& grad_output, Matrix* grad_input) override;
 
  private:
@@ -21,6 +22,7 @@ class TanhLayer : public Layer {
 class ReluLayer : public Layer {
  public:
   void Forward(const Matrix& input, Matrix* output, bool training) override;
+  void Infer(const Matrix& input, Matrix* output) const override;
   void Backward(const Matrix& grad_output, Matrix* grad_input) override;
 
  private:
@@ -31,6 +33,7 @@ class ReluLayer : public Layer {
 class SigmoidLayer : public Layer {
  public:
   void Forward(const Matrix& input, Matrix* output, bool training) override;
+  void Infer(const Matrix& input, Matrix* output) const override;
   void Backward(const Matrix& grad_output, Matrix* grad_input) override;
 
  private:
@@ -45,6 +48,7 @@ class DropoutLayer : public Layer {
   DropoutLayer(double drop_prob, uint64_t seed);
 
   void Forward(const Matrix& input, Matrix* output, bool training) override;
+  void Infer(const Matrix& input, Matrix* output) const override;
   void Backward(const Matrix& grad_output, Matrix* grad_input) override;
 
   double drop_prob() const { return drop_prob_; }

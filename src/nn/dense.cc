@@ -11,6 +11,15 @@ DenseLayer::DenseLayer(size_t in_dim, size_t out_dim, Rng& rng)
       bias_grad_(1, out_dim) {}
 
 void DenseLayer::Forward(const Matrix& input, Matrix* output, bool training) {
+  Infer(input, output);
+  // Cached unconditionally: Backward is valid after any forward pass
+  // (`training` only gates stochastic layers). The copy-assign reuses
+  // capacity once warm.
+  (void)training;
+  cached_input_ = input;
+}
+
+void DenseLayer::Infer(const Matrix& input, Matrix* output) const {
   FVAE_CHECK(input.cols() == weight_.rows())
       << "dense input dim " << input.cols() << " != " << weight_.rows();
   Gemm(input, weight_, output);
@@ -19,11 +28,6 @@ void DenseLayer::Forward(const Matrix& input, Matrix* output, bool training) {
     const float* b = bias_.Row(0);
     for (size_t c = 0; c < output->cols(); ++c) row[c] += b[c];
   }
-  // Cached unconditionally: Backward is valid after any forward pass
-  // (`training` only gates stochastic layers). The copy-assign reuses
-  // capacity, so a warmed-up inference pass stays allocation-free.
-  (void)training;
-  cached_input_ = input;
 }
 
 void DenseLayer::Backward(const Matrix& grad_output, Matrix* grad_input) {

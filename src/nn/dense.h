@@ -14,6 +14,7 @@ class DenseLayer : public Layer {
   DenseLayer(size_t in_dim, size_t out_dim, Rng& rng);
 
   void Forward(const Matrix& input, Matrix* output, bool training) override;
+  void Infer(const Matrix& input, Matrix* output) const override;
   void Backward(const Matrix& grad_output, Matrix* grad_input) override;
   void CollectParams(std::vector<ParamRef>* out) override;
 

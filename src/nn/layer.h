@@ -26,6 +26,12 @@ class Layer {
   /// output = f(input). `training` enables stochastic behaviour (dropout).
   virtual void Forward(const Matrix& input, Matrix* output, bool training) = 0;
 
+  /// Inference-mode output = f(input), bitwise equal to
+  /// Forward(input, output, /*training=*/false) but caching nothing: the
+  /// layer is only read, so concurrent callers with distinct `output`s are
+  /// safe. `output` must not alias `input`.
+  virtual void Infer(const Matrix& input, Matrix* output) const = 0;
+
   /// grad_input = df/dinput^T grad_output; also fills parameter gradients.
   /// `grad_input` may be null when the input gradient is not needed (first
   /// layer of a network).

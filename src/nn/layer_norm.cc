@@ -18,14 +18,21 @@ LayerNorm::LayerNorm(size_t dim, float epsilon)
 
 void LayerNorm::Forward(const Matrix& input, Matrix* output, bool training) {
   (void)training;
+  normalized_.Resize(input.rows(), gain_.cols());
+  inv_std_.resize(input.rows());
+  Normalize(input, output, &normalized_, inv_std_.data());
+}
+
+void LayerNorm::Infer(const Matrix& input, Matrix* output) const {
+  Normalize(input, output, nullptr, nullptr);
+}
+
+void LayerNorm::Normalize(const Matrix& input, Matrix* output,
+                          Matrix* normalized, float* inv_std_out) const {
   const size_t dim = gain_.cols();
   FVAE_CHECK(input.cols() == dim) << "layer-norm dim mismatch";
   const size_t batch = input.rows();
   output->Resize(batch, dim);
-  normalized_.Resize(batch, dim);
-  // Within-capacity resize: reallocates only while batch is still growing
-  // toward its high-water mark, so a warmed-up forward is allocation-free.
-  inv_std_.resize(batch);  // fvae-lint: allow(hot-alloc)
 
   for (size_t i = 0; i < batch; ++i) {
     const float* x = input.Row(i);
@@ -39,14 +46,14 @@ void LayerNorm::Forward(const Matrix& input, Matrix* output, bool training) {
     }
     var /= double(dim);
     const float inv_std = 1.0f / std::sqrt(float(var) + epsilon_);
-    inv_std_[i] = inv_std;
-    float* n = normalized_.Row(i);
+    if (inv_std_out != nullptr) inv_std_out[i] = inv_std;
     float* y = output->Row(i);
     const float* g = gain_.Row(0);
     const float* b = bias_.Row(0);
     for (size_t d = 0; d < dim; ++d) {
-      n[d] = (x[d] - float(mean)) * inv_std;
-      y[d] = g[d] * n[d] + b[d];
+      const float n = (x[d] - float(mean)) * inv_std;
+      if (normalized != nullptr) normalized->Row(i)[d] = n;
+      y[d] = g[d] * n + b[d];
     }
   }
 }

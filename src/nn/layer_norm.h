@@ -15,6 +15,7 @@ class LayerNorm : public Layer {
   explicit LayerNorm(size_t dim, float epsilon = 1e-5f);
 
   void Forward(const Matrix& input, Matrix* output, bool training) override;
+  void Infer(const Matrix& input, Matrix* output) const override;
   void Backward(const Matrix& grad_output, Matrix* grad_input) override;
   void CollectParams(std::vector<ParamRef>* out) override;
 
@@ -24,6 +25,11 @@ class LayerNorm : public Layer {
   Matrix& bias() { return bias_; }
 
  private:
+  /// Shared by Forward and Infer; `normalized` and `inv_std_out` (the
+  /// backward caches, pre-sized to the batch) are skipped when null.
+  void Normalize(const Matrix& input, Matrix* output, Matrix* normalized,
+                 float* inv_std_out) const;
+
   float epsilon_;
   Matrix gain_;   // 1 x dim, init 1
   Matrix bias_;   // 1 x dim, init 0

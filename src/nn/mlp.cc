@@ -38,15 +38,31 @@ Mlp::Mlp(const std::vector<size_t>& dims, Activation activation, Rng& rng,
 }
 
 void Mlp::Forward(const Matrix& input, Matrix* output, bool training) {
-  // Fixed-size after the first pass (layer count never changes), so this
-  // is a no-op on every warmed-up call.
-  activations_.resize(layers_.size());  // fvae-lint: allow(hot-alloc)
+  activations_.resize(layers_.size());
   const Matrix* current = &input;
   for (size_t i = 0; i < layers_.size(); ++i) {
     layers_[i]->Forward(*current, &activations_[i], training);
     current = &activations_[i];
   }
   *output = *current;  // capacity-reusing copy once *output has seen the shape
+}
+
+void Mlp::Infer(const Matrix& input, Matrix* output,
+                std::vector<Matrix>* acts) const {
+  // Fixed-size after the first pass (layer count never changes), so this
+  // is a no-op on every warmed-up call.
+  acts->resize(layers_.size() - 1);  // fvae-lint: allow(hot-alloc)
+  const Matrix* current = &input;
+  for (size_t i = 0; i + 1 < layers_.size(); ++i) {
+    layers_[i]->Infer(*current, &(*acts)[i]);
+    current = &(*acts)[i];
+  }
+  layers_.back()->Infer(*current, output);
+}
+
+void Mlp::Infer(const Matrix& input, Matrix* output) const {
+  std::vector<Matrix> acts;
+  Infer(input, output, &acts);
 }
 
 void Mlp::Backward(const Matrix& grad_output, Matrix* grad_input) {

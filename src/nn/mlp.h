@@ -27,6 +27,15 @@ class Mlp : public Layer {
       bool activate_output = false);
 
   void Forward(const Matrix& input, Matrix* output, bool training) override;
+  /// Inference through every layer with caller-owned intermediate
+  /// activations (`acts`, resized to one matrix per hidden layer output):
+  /// nothing in the Mlp is written, so concurrent callers that each own
+  /// `acts` and `output` are safe. Keeping `acts` alive across calls makes a
+  /// warmed-up pass allocation-free.
+  void Infer(const Matrix& input, Matrix* output,
+             std::vector<Matrix>* acts) const;
+  /// Convenience form with throwaway activations.
+  void Infer(const Matrix& input, Matrix* output) const override;
   void Backward(const Matrix& grad_output, Matrix* grad_input) override;
   void CollectParams(std::vector<ParamRef>* out) override;
 

@@ -1,8 +1,8 @@
 #include "serving/embedding_service.h"
 
-#include <chrono>
+#include <algorithm>
 
-#include "common/stopwatch.h"
+#include "obs/trace.h"
 
 namespace fvae::serving {
 
@@ -13,29 +13,8 @@ EmbeddingService::EmbeddingService(ShardedEmbeddingStore store,
       encoder_(encoder),
       options_(options),
       telemetry_(options.metrics_registry) {
-  if (encoder_ != nullptr && options_.enable_batcher) {
-    batcher_ = std::make_unique<RequestBatcher>(
-        encoder_, options_.batcher, &telemetry_,
-        [this](uint64_t user_id, std::span<const float> embedding,
-               double latency_us) {
-          store_.Put(user_id,
-                     std::vector<float>(embedding.begin(), embedding.end()));
-          telemetry_.fold_ins.Increment();
-          telemetry_.foldin_latency_us().Record(latency_us);
-        });
-  }
-}
-
-// Out of line so the batcher (and its worker threads) tears down before the
-// store it materializes into.
-EmbeddingService::~EmbeddingService() { batcher_.reset(); }
-
-std::future<EmbeddingService::EmbeddingResult> EmbeddingService::Ready(
-    EmbeddingResult result) {
-  std::promise<EmbeddingResult> promise;
-  std::future<EmbeddingResult> future = promise.get_future();
-  promise.set_value(std::move(result));
-  return future;
+  options_.batcher.queue_capacity =
+      std::max<size_t>(options_.batcher.queue_capacity, 1);
 }
 
 EmbeddingService::EmbeddingResult EmbeddingService::Lookup(
@@ -56,69 +35,70 @@ EmbeddingService::LookupOrEncode(uint64_t user_id,
                                  const core::RawUserFeatures& features,
                                  uint64_t deadline_micros) {
   Stopwatch watch;
-  telemetry_.requests.Increment();
-  if (auto embedding = store_.Get(user_id); embedding.has_value()) {
-    telemetry_.store_hits.Increment();
-    telemetry_.lookup_latency_us().Record(watch.ElapsedSeconds() * 1e6);
-    return Ready(*std::move(embedding));
-  }
-  if (encoder_ == nullptr) {
-    telemetry_.not_found.Increment();
-    return Ready(Status::NotFound("user not materialized, no encoder"));
-  }
-  if (deadline_micros == 0) deadline_micros = options_.default_deadline_micros;
-
-  if (batcher_ != nullptr) {
-    // Outcome accounting (fold_ins / rejected / deadline_expired) happens
-    // inside the batcher and its encoded-sink callback.
-    return batcher_->Submit(user_id, features, deadline_micros);
-  }
-
-  // Synchronous fallback path (batcher disabled): encode a batch of one on
-  // the request thread. The encoder serializes internally, so concurrent
-  // cold lookups queue on its mutex — the cost the micro-batcher removes.
-  const core::RawUserFeatures* user = &features;
-  const Matrix embedding = encoder_->EncodeBatch({&user, 1});
-  std::vector<float> row(embedding.Row(0), embedding.Row(0) + embedding.cols());
-  store_.Put(user_id, row);
-  telemetry_.fold_ins.Increment();
-  telemetry_.foldin_latency_us().Record(watch.ElapsedSeconds() * 1e6);
-  return Ready(std::move(row));
+  std::promise<EmbeddingResult> promise;
+  promise.set_value(Serve(user_id, features, deadline_micros, watch));
+  return promise.get_future();
 }
 
 void EmbeddingService::LookupOrEncodeAsync(
     uint64_t user_id, const core::RawUserFeatures& features,
-    uint64_t deadline_micros, RequestBatcher::DoneCallback done) {
+    uint64_t deadline_micros, DoneCallback done) {
   Stopwatch watch;
+  done(Serve(user_id, features, deadline_micros, watch));
+}
+
+EmbeddingService::EmbeddingResult EmbeddingService::Serve(
+    uint64_t user_id, const core::RawUserFeatures& features,
+    uint64_t deadline_micros, const Stopwatch& watch) {
   telemetry_.requests.Increment();
   if (auto embedding = store_.Get(user_id); embedding.has_value()) {
     telemetry_.store_hits.Increment();
     telemetry_.lookup_latency_us().Record(watch.ElapsedSeconds() * 1e6);
-    done(*std::move(embedding));
-    return;
+    return *std::move(embedding);
   }
   if (encoder_ == nullptr) {
     telemetry_.not_found.Increment();
-    done(Status::NotFound("user not materialized, no encoder"));
-    return;
+    return Status::NotFound("user not materialized, no encoder");
   }
   if (deadline_micros == 0) deadline_micros = options_.default_deadline_micros;
 
-  if (batcher_ != nullptr) {
-    batcher_->SubmitAsync(user_id, features, deadline_micros,
-                          std::move(done));
-    return;
+  const size_t in_flight = in_flight_.fetch_add(1) + 1;
+  if (in_flight > options_.batcher.queue_capacity) {
+    in_flight_.fetch_sub(1);
+    telemetry_.rejected.Increment();
+    return Status::Unavailable("fold-in capacity reached");
   }
+  telemetry_.UpdateQueueDepth(in_flight);
+  EmbeddingResult result = FoldIn(user_id, features, deadline_micros, watch);
+  telemetry_.UpdateQueueDepth(in_flight_.fetch_sub(1) - 1);
+  return result;
+}
 
-  // Synchronous fallback, as in LookupOrEncode.
+EmbeddingService::EmbeddingResult EmbeddingService::FoldIn(
+    uint64_t user_id, const core::RawUserFeatures& features,
+    uint64_t deadline_micros, const Stopwatch& watch) {
+  // Per-thread output buffer, so a warmed-up encode allocates nothing.
+  thread_local Matrix embedding;
   const core::RawUserFeatures* user = &features;
-  const Matrix embedding = encoder_->EncodeBatch({&user, 1});
+  {
+    // Named after the benchmark's serving.batcher.encode_us layer.
+    obs::TraceSpan span("serving.batcher.encode");
+    encoder_->EncodeBatchInto({&user, 1}, &embedding);
+  }
+  telemetry_.batches.Increment();
   std::vector<float> row(embedding.Row(0),
                          embedding.Row(0) + embedding.cols());
+  // Materialized even when late: the encode is paid for, and a retry then
+  // hits the store.
   store_.Put(user_id, row);
+  const double latency_us = watch.ElapsedSeconds() * 1e6;
+  if (deadline_micros != 0 && latency_us > double(deadline_micros)) {
+    telemetry_.deadline_expired.Increment();
+    return Status::DeadlineExceeded("fold-in finished past its deadline");
+  }
   telemetry_.fold_ins.Increment();
-  telemetry_.foldin_latency_us().Record(watch.ElapsedSeconds() * 1e6);
-  done(std::move(row));
+  telemetry_.foldin_latency_us().Record(latency_us);
+  return row;
 }
 
 std::string EmbeddingService::TelemetryJson() const {

@@ -4,8 +4,6 @@
 #include <span>
 
 #include "common/hot_path.h"
-#include "common/mutex.h"
-#include "common/thread_annotations.h"
 #include "core/fvae_model.h"
 #include "math/matrix.h"
 
@@ -14,9 +12,8 @@ namespace fvae::serving {
 /// Batch encoder for cold users (fold-in): turns raw sparse field vectors
 /// into embeddings when a user's embedding was never materialized offline.
 ///
-/// Implementations MUST be safe for concurrent callers — the request
-/// batcher may run more than one worker, and the service's synchronous
-/// fallback path calls straight from request threads.
+/// Implementations MUST be safe for concurrent callers: EmbeddingService
+/// encodes every cold user on the thread that asks for it.
 class FoldInEncoder {
  public:
   virtual ~FoldInEncoder() = default;
@@ -40,11 +37,8 @@ class FoldInEncoder {
 
 /// FoldInEncoder over a frozen FieldVae.
 ///
-/// FieldVae's forward passes reuse member scratch buffers, so encodes are
-/// serialized through an internal mutex. That serialization is exactly what
-/// the micro-batcher amortizes: one batched GEMM per batch instead of one
-/// mutex-serialized GEMM per request. The mutex is FVAE_HOT_LOCK_EXEMPT for
-/// the same reason — holding it on the hot path is the design, not a leak.
+/// FieldVae::EncodeFoldInInto only reads the model, so encodes run
+/// concurrently with no lock: each calling thread keeps its own scratch.
 class FvaeFoldInEncoder : public FoldInEncoder {
  public:
   /// `model` must outlive the encoder and must not be trained concurrently.
@@ -57,26 +51,20 @@ class FvaeFoldInEncoder : public FoldInEncoder {
     return out;
   }
 
-  /// Zero-allocation once warm: the persistent scratch + the caller's `out`
-  /// grow to the high-water batch shape and are reused ever after
+  /// Zero-allocation once warm: the calling thread's scratch + the caller's
+  /// `out` grow to the high-water batch shape and are reused ever after
   /// (FVAE_NOALLOC is checked transitively by fvae_lint and witnessed by
   /// serving_test's operator-new interposer).
   void EncodeBatchInto(std::span<const core::RawUserFeatures* const> users,
-                       Matrix* out) override FVAE_EXCLUDES(mutex_)
-      FVAE_HOT FVAE_NOALLOC {
-    MutexLock lock(mutex_);
-    model_->EncodeFoldInInto(users, &scratch_, out);
+                       Matrix* out) override FVAE_HOT FVAE_NOALLOC {
+    thread_local core::FieldVae::FoldInScratch scratch;
+    model_->EncodeFoldInInto(users, &scratch, out);
   }
 
   size_t dim() const override { return model_->latent_dim(); }
 
  private:
-  // Not FVAE_PT_GUARDED_BY(mutex_): the mutex serializes EncodeFoldInInto's
-  // scratch-buffer use only; genuinely-const reads (latent_dim) are safe
-  // without it.
   const core::FieldVae* model_;
-  Mutex mutex_ FVAE_HOT_LOCK_EXEMPT;
-  core::FieldVae::FoldInScratch scratch_ FVAE_GUARDED_BY(mutex_);
 };
 
 }  // namespace fvae::serving

@@ -14,11 +14,8 @@ ServingTelemetry::ServingTelemetry(obs::MetricsRegistry* registry)
       fold_ins(registry_->Counter("serving.fold_ins")),
       rejected(registry_->Counter("serving.rejected")),
       deadline_expired(registry_->Counter("serving.deadline_expired")),
-      batcher_deadline_expired(
-          registry_->Counter("serving.batcher.deadline_expired")),
       not_found(registry_->Counter("serving.not_found")),
       batches(registry_->Counter("serving.batches")),
-      batched_users(registry_->Counter("serving.batched_users")),
       queue_depth_(registry_->Gauge("serving.queue_depth")),
       queue_peak_(registry_->Gauge("serving.queue_peak")),
       lookup_latency_us_(registry_->Histo("serving.lookup_latency_us")),
@@ -33,19 +30,16 @@ std::string ServingTelemetry::ToJson(
       "{\"elapsed_s\":%.3f,\"qps\":%.1f,"
       "\"requests\":%llu,\"store_hits\":%llu,\"fold_ins\":%llu,"
       "\"rejected\":%llu,\"deadline_expired\":%llu,"
-      "\"batcher_deadline_expired\":%llu,\"not_found\":%llu,"
-      "\"queue_depth\":%zu,\"queue_peak\":%zu,"
-      "\"batches\":%llu,\"mean_batch_size\":%.2f",
+      "\"not_found\":%llu,"
+      "\"queue_depth\":%zu,\"queue_peak\":%zu,\"batches\":%llu",
       ElapsedSeconds(), Qps(),
       static_cast<unsigned long long>(requests.Value()),
       static_cast<unsigned long long>(store_hits.Value()),
       static_cast<unsigned long long>(fold_ins.Value()),
       static_cast<unsigned long long>(rejected.Value()),
       static_cast<unsigned long long>(deadline_expired.Value()),
-      static_cast<unsigned long long>(batcher_deadline_expired.Value()),
       static_cast<unsigned long long>(not_found.Value()), queue_depth(),
-      queue_peak(), static_cast<unsigned long long>(batches.Value()),
-      MeanBatchSize());
+      queue_peak(), static_cast<unsigned long long>(batches.Value()));
   std::string out = buf;
   out += ",\"lookup_latency_us\":" + lookup_latency_us_.SummaryJson();
   out += ",\"foldin_latency_us\":" + foldin_latency_us_.SummaryJson();

@@ -15,9 +15,9 @@
 namespace fvae::serving {
 
 /// Counters, gauges and latency histograms of the serving stack, registered
-/// in an obs::MetricsRegistry under the `serving.` prefix. One instance is
-/// shared by the EmbeddingService front-end and its RequestBatcher;
-/// everything is atomics / lock-free histograms, so request threads update
+/// in an obs::MetricsRegistry under the `serving.` prefix, owned by one
+/// EmbeddingService. Everything is atomics / lock-free histograms, so
+/// request threads update
 /// it on the hot path without contention. Accordingly the class carries no
 /// capability annotations: there is no lock to hold, and all members are
 /// individually thread-safe (the cross-counter invariant below is
@@ -55,23 +55,19 @@ class ServingTelemetry {
   obs::Counter& store_hits;
   /// Served by running the encoder on the raw field vector (cold users).
   obs::Counter& fold_ins;
-  /// Admission control: bounced because the fold-in queue was full.
+  /// Admission control: bounced because the fold-in capacity was reached.
   obs::Counter& rejected;
-  /// Dropped in-queue because the per-request deadline expired.
+  /// Fold-in finished past the per-request deadline.
   obs::Counter& deadline_expired;
-  /// Subset of deadline_expired caught at the batcher's dequeue boundary:
-  /// admitted under deadline, expired by the time the batch was taken.
-  /// These never consume a batch slot. Not part of the outcome invariant
-  /// (each is also counted in deadline_expired).
-  obs::Counter& batcher_deadline_expired;
   /// No embedding and no feature vector to fold in.
   obs::Counter& not_found;
 
-  // --- batcher accounting ---
+  /// Encoder calls, one per fold-in (late ones included).
   obs::Counter& batches;
-  obs::Counter& batched_users;
 
-  /// Sets the queue-depth gauge and folds it into the peak watermark.
+  /// Sets the fold-ins-in-flight gauge and folds it into the peak
+  /// watermark. Named queue_depth/queue_peak in the registry and JSON,
+  /// which the repository benchmark reads.
   void UpdateQueueDepth(size_t depth) {
     queue_depth_.Set(double(depth));
     queue_peak_.SetMax(double(depth));
@@ -84,7 +80,7 @@ class ServingTelemetry {
   const LatencyHistogram& lookup_latency_us() const {
     return lookup_latency_us_;
   }
-  /// End-to-end latency of fold-in answers (enqueue -> embedding ready).
+  /// End-to-end latency of fold-in answers (request -> embedding ready).
   LatencyHistogram& foldin_latency_us() { return foldin_latency_us_; }
   const LatencyHistogram& foldin_latency_us() const {
     return foldin_latency_us_;
@@ -106,11 +102,6 @@ class ServingTelemetry {
   double Qps() const {
     const double s = ElapsedSeconds();
     return s > 0.0 ? double(requests.Value()) / s : 0.0;
-  }
-
-  double MeanBatchSize() const {
-    const uint64_t b = batches.Value();
-    return b == 0 ? 0.0 : double(batched_users.Value()) / double(b);
   }
 
   /// Full JSON snapshot; `shards` (optional) adds per-shard hit rates.

@@ -1,7 +1,9 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <cstring>
 #include <functional>
+#include <initializer_list>
 
 #include "common/random.h"
 #include "math/matrix.h"
@@ -9,6 +11,7 @@
 #include "nn/activations.h"
 #include "nn/dense.h"
 #include "nn/embedding.h"
+#include "nn/layer_norm.h"
 #include "nn/losses.h"
 #include "nn/mlp.h"
 #include "nn/optimizer.h"
@@ -193,6 +196,38 @@ TEST(MlpTest, DimsExposed) {
   EXPECT_EQ(mlp.in_dim(), 7u);
   EXPECT_EQ(mlp.out_dim(), 2u);
   EXPECT_EQ(mlp.num_dense_layers(), 3u);
+}
+
+TEST(InferTest, MatchesEvalForwardBitwiseAndCachesNothing) {
+  Rng rng(14);
+  const Matrix input = Matrix::Gaussian(5, 4, 2.0f, rng);
+  DenseLayer dense(4, 4, rng);
+  TanhLayer tanh_layer;
+  ReluLayer relu;
+  SigmoidLayer sigmoid;
+  DropoutLayer dropout(0.5, 15);
+  LayerNorm norm(4);
+  Mlp mlp({4, 6, 5, 3}, Activation::kTanh, rng);
+  for (Layer* layer : std::initializer_list<Layer*>{
+           &dense, &tanh_layer, &relu, &sigmoid, &dropout, &norm, &mlp}) {
+    Matrix forward, inferred;
+    layer->Forward(input, &forward, /*training=*/false);
+    // A different batch through Infer must leave Forward's caches alone:
+    // Backward still sees the batch Forward ran.
+    Matrix grad_before;
+    layer->Backward(forward, &grad_before);
+    layer->Infer(Matrix::Gaussian(2, 4, 1.0f, rng), &inferred);
+    Matrix grad_after;
+    layer->Backward(forward, &grad_after);
+    EXPECT_EQ(Matrix::MaxAbsDiff(grad_before, grad_after), 0.0f);
+
+    layer->Infer(input, &inferred);
+    ASSERT_EQ(inferred.rows(), forward.rows());
+    ASSERT_EQ(inferred.cols(), forward.cols());
+    EXPECT_EQ(std::memcmp(inferred.data(), forward.data(),
+                          forward.size() * sizeof(float)),
+              0);
+  }
 }
 
 // ---------- Optimizers ----------

@@ -11,6 +11,7 @@
 #include <filesystem>
 #include <fstream>
 #include <future>
+#include <memory>
 #include <new>
 #include <numeric>
 #include <semaphore>
@@ -25,7 +26,6 @@
 #include "serving/embedding_store.h"
 #include "serving/fold_in.h"
 #include "serving/lru_cache.h"
-#include "serving/request_batcher.h"
 #include "serving/serving_proxy.h"
 #include "serving/sharded_store.h"
 #include "serving/telemetry.h"
@@ -602,11 +602,11 @@ TEST(ShardedStoreTest, PutOverwrites) {
   EXPECT_FLOAT_EQ((*store.Get(5))[0], 9.0f);
 }
 
-// ---------- fold-in fakes for batcher/service tests ----------
+// ---------- fold-in fakes for service tests ----------
 
 /// Deterministic encoder: embedding row = first feature id of field 0,
 /// repeated. Optionally sleeps to simulate GEMM cost or blocks on a gate
-/// for deterministic queue-state tests.
+/// for deterministic in-flight tests.
 class FakeEncoder : public FoldInEncoder {
  public:
   explicit FakeEncoder(size_t dim, int sleep_ms = 0)
@@ -617,7 +617,7 @@ class FakeEncoder : public FoldInEncoder {
     calls.fetch_add(1);
     users_encoded.fetch_add(users.size());
     if (gated_) {
-      entered.store(true);
+      entered.fetch_add(1);
       gate.acquire();
     }
     if (sleep_ms_ > 0) {
@@ -638,7 +638,8 @@ class FakeEncoder : public FoldInEncoder {
 
   std::atomic<int> calls{0};
   std::atomic<size_t> users_encoded{0};
-  std::atomic<bool> entered{false};
+  /// Encodes that reached the gate.
+  std::atomic<int> entered{0};
   std::counting_semaphore<1024> gate{0};
 
  private:
@@ -653,9 +654,11 @@ core::RawUserFeatures RawUser(uint64_t feature_id) {
 
 // ---------- fold-in hot path: zero-allocation witness ----------
 
-TEST(FoldInZeroAllocTest, WarmedEncodeBatchIsAllocationFree) {
-  // Small but structurally complete model: two encoder hidden layers so
-  // the Mlp trunk runs, plus the per-field embedding sums and the mu head.
+/// Small but structurally complete model: two encoder hidden layers so the
+/// Mlp trunk runs, plus the per-field embedding sums and the mu head. One
+/// training step grows the input tables so fold-in actually sums embedding
+/// rows instead of skipping every feature as cold.
+std::unique_ptr<core::FieldVae> TinyTrainedModel() {
   core::FvaeConfig config;
   config.latent_dim = 6;
   config.encoder_hidden = {12, 10};
@@ -671,13 +674,16 @@ TEST(FoldInZeroAllocTest, WarmedEncodeBatchIsAllocationFree) {
   }
   const MultiFieldDataset data = builder.Build();
 
-  core::FieldVae model(config, data.fields());
+  auto model = std::make_unique<core::FieldVae>(config, data.fields());
   std::vector<uint32_t> users(data.num_users());
   std::iota(users.begin(), users.end(), 0);
-  // One training step grows the input tables so fold-in actually sums
-  // embedding rows instead of skipping every feature as cold.
-  model.TrainStep(data, users, /*beta=*/0.1f);
+  model->TrainStep(data, users, /*beta=*/0.1f);
+  return model;
+}
 
+TEST(FoldInZeroAllocTest, WarmedEncodeBatchIsAllocationFree) {
+  const std::unique_ptr<core::FieldVae> trained = TinyTrainedModel();
+  const core::FieldVae& model = *trained;
   FvaeFoldInEncoder encoder(&model);
   std::vector<core::RawUserFeatures> raw;
   raw.reserve(8);
@@ -733,170 +739,86 @@ TEST(FoldInZeroAllocTest, InterposerCountsOrdinaryAllocations) {
   EXPECT_GE(allocations, 1u);
 }
 
-// ---------- RequestBatcher ----------
+// ---------- concurrent fold-in (run under -DFVAE_SANITIZE=thread) ----------
 
-TEST(RequestBatcherTest, CoalescesConcurrentRequests) {
-  FakeEncoder encoder(4, /*sleep_ms=*/10);
-  RequestBatcherOptions options;
-  options.max_batch_size = 8;
-  options.max_wait_micros = 2000;
-  ServingTelemetry telemetry;
-  RequestBatcher batcher(&encoder, options, &telemetry);
-
-  std::vector<std::future<RequestBatcher::EmbeddingResult>> futures;
-  for (uint64_t i = 0; i < 16; ++i) {
-    futures.push_back(batcher.Submit(i, RawUser(100 + i)));
-  }
-  for (uint64_t i = 0; i < 16; ++i) {
-    auto result = futures[i].get();
-    ASSERT_TRUE(result.ok()) << result.status().ToString();
-    ASSERT_EQ(result->size(), 4u);
-    EXPECT_FLOAT_EQ((*result)[0], float(100 + i));
-  }
-  EXPECT_EQ(encoder.users_encoded.load(), 16u);
-  // 16 requests submitted while the encoder sleeps 10ms per call must
-  // coalesce well below one call per request (worst case: 1 + ceil(15/8)).
-  EXPECT_LT(encoder.calls.load(), 16);
-  EXPECT_EQ(telemetry.batched_users.Value(), 16u);
-  EXPECT_GT(telemetry.MeanBatchSize(), 1.0);
+/// Cold user `n` of the concurrency tests: known and unknown features mixed.
+core::RawUserFeatures ColdUser(uint64_t n) {
+  return {{{n % 4 + 1, 0.5f + float(n % 3)}},
+          {{100 + n % 4, 1.0f}, {200 + n % 7, 0.25f}, {900000 + n, 1.0f}}};
 }
 
-TEST(RequestBatcherTest, AdmissionControlRejectsWhenQueueFull) {
-  FakeEncoder encoder(2);
-  encoder.EnableGate();
-  RequestBatcherOptions options;
-  options.max_batch_size = 1;
-  options.max_wait_micros = 0;
-  options.queue_capacity = 2;
-  ServingTelemetry telemetry;
-  RequestBatcher batcher(&encoder, options, &telemetry);
+TEST(FoldInConcurrencyTest, ConcurrentEncodesMatchSerial) {
+  constexpr size_t kThreads = 4;
+  constexpr size_t kFoldInsPerThread = 500;
+  const std::unique_ptr<core::FieldVae> model = TinyTrainedModel();
 
-  // First request is picked up by the worker, which blocks inside the
-  // encoder; the queue is now empty and its state is deterministic.
-  auto warm = batcher.Submit(0, RawUser(0));
-  while (!encoder.entered.load()) std::this_thread::yield();
-
-  std::vector<std::future<RequestBatcher::EmbeddingResult>> futures;
-  for (uint64_t i = 1; i <= 4; ++i) {
-    futures.push_back(batcher.Submit(i, RawUser(i)));
+  // Serial reference rows, one per distinct feature pattern.
+  constexpr size_t kPatterns = 84;  // lcm of the pattern periods above
+  std::vector<core::RawUserFeatures> raw;
+  std::vector<Matrix> reference;
+  for (uint64_t n = 0; n < kPatterns; ++n) {
+    raw.push_back(ColdUser(n));
+    const core::RawUserFeatures* user = &raw.back();
+    reference.push_back(model->EncodeFoldIn({&user, 1}));
   }
-  EXPECT_EQ(telemetry.rejected.Value(), 2u);  // capacity 2: two bounced
-  EXPECT_EQ(telemetry.queue_peak(), 2u);
 
-  encoder.gate.release(64);  // unblock all remaining batches
-  ASSERT_TRUE(warm.get().ok());
-  size_t ok = 0, unavailable = 0;
-  for (auto& future : futures) {
-    auto result = future.get();
-    if (result.ok()) {
-      ++ok;
-    } else {
-      EXPECT_EQ(result.status().code(), StatusCode::kUnavailable);
-      ++unavailable;
-    }
+  FvaeFoldInEncoder encoder(model.get());
+  EmbeddingServiceOptions options;
+  options.num_shards = 4;
+  EmbeddingService service(ShardedEmbeddingStore(4), &encoder, options);
+
+  std::atomic<size_t> mismatches{0};
+  std::vector<std::thread> threads;
+  for (size_t t = 0; t < kThreads; ++t) {
+    threads.emplace_back([&, t] {
+      for (size_t i = 0; i < kFoldInsPerThread; ++i) {
+        const uint64_t user_id = t * kFoldInsPerThread + i;  // all distinct
+        const size_t pattern = user_id % kPatterns;
+        const EmbeddingService::EmbeddingResult result =
+            service.LookupOrEncode(user_id, raw[pattern]).get();
+        const Matrix& expected = reference[pattern];
+        if (!result.ok() || result->size() != expected.cols() ||
+            std::memcmp(result->data(), expected.Row(0),
+                        expected.cols() * sizeof(float)) != 0) {
+          mismatches.fetch_add(1);
+        }
+      }
+    });
   }
-  EXPECT_EQ(ok, 2u);
-  EXPECT_EQ(unavailable, 2u);
+  for (std::thread& thread : threads) thread.join();
+
+  EXPECT_EQ(mismatches.load(), 0u);
+  EXPECT_EQ(service.telemetry().fold_ins.Value(),
+            kThreads * kFoldInsPerThread);
+  EXPECT_EQ(service.telemetry().batches.Value(),
+            kThreads * kFoldInsPerThread);
 }
 
-TEST(RequestBatcherTest, ExpiredDeadlineSkipsEncoding) {
-  FakeEncoder encoder(2);
-  encoder.EnableGate();
-  RequestBatcherOptions options;
-  options.max_batch_size = 1;
-  options.max_wait_micros = 0;
-  ServingTelemetry telemetry;
-  RequestBatcher batcher(&encoder, options, &telemetry);
+TEST(FoldInConcurrencyTest, ConcurrentScoreFieldMatchesSerial) {
+  const std::unique_ptr<core::FieldVae> model = TinyTrainedModel();
+  std::vector<core::RawUserFeatures> raw = {ColdUser(1), ColdUser(2)};
+  const std::vector<const core::RawUserFeatures*> users = {&raw[0], &raw[1]};
+  const Matrix z = model->EncodeFoldIn(users);
+  const std::vector<uint64_t> candidates = {100, 101, 102, 103, 424242};
+  const Matrix expected_scores = model->ScoreField(z, 1, candidates);
+  const Matrix expected_hidden = model->DecoderHidden(z);
 
-  auto warm = batcher.Submit(0, RawUser(0));
-  while (!encoder.entered.load()) std::this_thread::yield();
-
-  // Queued behind the blocked worker with a 1ms deadline; by the time the
-  // worker drains it, it is long expired and must not be encoded.
-  auto doomed = batcher.Submit(1, RawUser(1), /*deadline_micros=*/1000);
-  std::this_thread::sleep_for(std::chrono::milliseconds(10));
-  encoder.gate.release(64);
-
-  ASSERT_TRUE(warm.get().ok());
-  auto result = doomed.get();
-  ASSERT_FALSE(result.ok());
-  EXPECT_EQ(result.status().code(), StatusCode::kDeadlineExceeded);
-  EXPECT_EQ(telemetry.deadline_expired.Value(), 1u);
-  // The request was admitted live and expired while queued, so it was
-  // caught at the dequeue boundary — the batcher-specific counter must see
-  // it too (it is a subset of deadline_expired).
-  EXPECT_EQ(telemetry.batcher_deadline_expired.Value(), 1u);
-  EXPECT_EQ(encoder.users_encoded.load(), 1u);  // only the warm request
-}
-
-TEST(RequestBatcherTest, SubmitAsyncDeliversViaCallback) {
-  FakeEncoder encoder(3);
-  RequestBatcherOptions options;
-  options.max_batch_size = 4;
-  options.max_wait_micros = 500;
-  ServingTelemetry telemetry;
-  RequestBatcher batcher(&encoder, options, &telemetry);
-
-  std::promise<RequestBatcher::EmbeddingResult> delivered;
-  batcher.SubmitAsync(7, RawUser(42), /*deadline_micros=*/0,
-                      [&](RequestBatcher::EmbeddingResult result) {
-                        delivered.set_value(std::move(result));
-                      });
-  auto result = delivered.get_future().get();
-  ASSERT_TRUE(result.ok()) << result.status().ToString();
-  ASSERT_EQ(result->size(), 3u);
-  EXPECT_FLOAT_EQ((*result)[0], 42.0f);
-}
-
-TEST(RequestBatcherTest, SubmitAsyncExpiredDeadlineResolvesCallback) {
-  FakeEncoder encoder(2);
-  encoder.EnableGate();
-  RequestBatcherOptions options;
-  options.max_batch_size = 1;
-  options.max_wait_micros = 0;
-  ServingTelemetry telemetry;
-  RequestBatcher batcher(&encoder, options, &telemetry);
-
-  // Same dequeue-boundary setup as ExpiredDeadlineSkipsEncoding, but the
-  // doomed request is callback-flavored: admitted just under its deadline,
-  // dequeued after it, it must resolve kDeadlineExceeded through the
-  // callback — never silently encode.
-  auto warm = batcher.Submit(0, RawUser(0));
-  while (!encoder.entered.load()) std::this_thread::yield();
-
-  std::promise<RequestBatcher::EmbeddingResult> delivered;
-  batcher.SubmitAsync(1, RawUser(1), /*deadline_micros=*/1000,
-                      [&](RequestBatcher::EmbeddingResult result) {
-                        delivered.set_value(std::move(result));
-                      });
-  std::this_thread::sleep_for(std::chrono::milliseconds(10));
-  encoder.gate.release(64);
-
-  ASSERT_TRUE(warm.get().ok());
-  auto result = delivered.get_future().get();
-  ASSERT_FALSE(result.ok());
-  EXPECT_EQ(result.status().code(), StatusCode::kDeadlineExceeded);
-  EXPECT_EQ(telemetry.batcher_deadline_expired.Value(), 1u);
-  EXPECT_EQ(encoder.users_encoded.load(), 1u);
-}
-
-TEST(RequestBatcherTest, DestructorDrainsQueue) {
-  FakeEncoder encoder(2, /*sleep_ms=*/5);
-  RequestBatcherOptions options;
-  options.max_batch_size = 4;
-  options.max_wait_micros = 50000;  // long window: drain must not wait it out
-  std::vector<std::future<RequestBatcher::EmbeddingResult>> futures;
-  {
-    RequestBatcher batcher(&encoder, options);
-    for (uint64_t i = 0; i < 12; ++i) {
-      futures.push_back(batcher.Submit(i, RawUser(i)));
-    }
-  }  // destructor joins workers after draining
-  for (auto& future : futures) {
-    auto result = future.get();  // never a broken promise
-    ASSERT_TRUE(result.ok() ||
-                result.status().code() == StatusCode::kUnavailable);
+  std::atomic<size_t> mismatches{0};
+  std::vector<std::thread> threads;
+  for (size_t t = 0; t < 4; ++t) {
+    threads.emplace_back([&] {
+      for (int i = 0; i < 200; ++i) {
+        if (Matrix::MaxAbsDiff(model->ScoreField(z, 1, candidates),
+                               expected_scores) != 0.0f ||
+            Matrix::MaxAbsDiff(model->DecoderHidden(z), expected_hidden) !=
+                0.0f) {
+          mismatches.fetch_add(1);
+        }
+      }
+    });
   }
+  for (std::thread& thread : threads) thread.join();
+  EXPECT_EQ(mismatches.load(), 0u);
 }
 
 // ---------- EmbeddingService ----------
@@ -904,8 +826,6 @@ TEST(RequestBatcherTest, DestructorDrainsQueue) {
 EmbeddingServiceOptions FastServiceOptions() {
   EmbeddingServiceOptions options;
   options.num_shards = 4;
-  options.batcher.max_batch_size = 8;
-  options.batcher.max_wait_micros = 200;
   options.batcher.queue_capacity = 4096;
   return options;
 }
@@ -948,18 +868,90 @@ TEST(EmbeddingServiceTest, ColdUserFoldsInAndMaterializes) {
   EXPECT_TRUE(service.store().Contains(900));
 }
 
-TEST(EmbeddingServiceTest, SynchronousPathWhenBatcherDisabled) {
-  FakeEncoder encoder(3);
+TEST(EmbeddingServiceTest, AdmissionRejectsPastInFlightCap) {
+  FakeEncoder encoder(2);
+  encoder.EnableGate();
   EmbeddingServiceOptions options = FastServiceOptions();
-  options.enable_batcher = false;
+  options.batcher.queue_capacity = 2;
   EmbeddingService service(ShardedEmbeddingStore(4), &encoder, options);
 
-  auto result = service.LookupOrEncode(1, RawUser(11)).get();
-  ASSERT_TRUE(result.ok());
-  EXPECT_EQ(result->size(), 3u);
-  EXPECT_FLOAT_EQ((*result)[0], 11.0f);
-  EXPECT_EQ(service.telemetry().fold_ins.Value(), 1u);
-  EXPECT_TRUE(service.store().Contains(1));
+  // Two fold-ins enter the encoder and are held there: the cap is reached.
+  std::vector<std::future<EmbeddingService::EmbeddingResult>> held;
+  for (uint64_t i = 1; i <= 2; ++i) {
+    held.push_back(std::async(std::launch::async, [&service, i] {
+      return service.LookupOrEncode(i, RawUser(i)).get();
+    }));
+  }
+  while (encoder.entered.load() < 2) std::this_thread::yield();
+
+  const auto bounced = service.LookupOrEncode(3, RawUser(3)).get();
+  ASSERT_FALSE(bounced.ok());
+  EXPECT_EQ(bounced.status().code(), StatusCode::kUnavailable);
+  EXPECT_EQ(service.telemetry().rejected.Value(), 1u);
+  EXPECT_EQ(service.telemetry().queue_peak(), 2u);
+  EXPECT_FALSE(service.store().Contains(3));
+
+  encoder.gate.release(2);
+  for (auto& future : held) EXPECT_TRUE(future.get().ok());
+  EXPECT_EQ(service.telemetry().fold_ins.Value(), 2u);
+  // Capacity is back: the bounced user now folds in.
+  encoder.gate.release(1);
+  EXPECT_TRUE(service.LookupOrEncode(3, RawUser(3)).get().ok());
+}
+
+TEST(EmbeddingServiceTest, LateFoldInAnswersDeadlineExceeded) {
+  FakeEncoder encoder(2);
+  encoder.EnableGate();
+  EmbeddingService service(ShardedEmbeddingStore(4), &encoder,
+                           FastServiceOptions());
+
+  auto late = std::async(std::launch::async, [&service] {
+    return service.LookupOrEncode(1, RawUser(1), /*deadline_micros=*/1000)
+        .get();
+  });
+  while (encoder.entered.load() < 1) std::this_thread::yield();
+  std::this_thread::sleep_for(std::chrono::milliseconds(10));
+  encoder.gate.release();
+
+  const auto result = late.get();
+  ASSERT_FALSE(result.ok());
+  EXPECT_EQ(result.status().code(), StatusCode::kDeadlineExceeded);
+  const ServingTelemetry& telemetry = service.telemetry();
+  EXPECT_EQ(telemetry.deadline_expired.Value(), 1u);
+  EXPECT_EQ(telemetry.fold_ins.Value(), 0u);
+  EXPECT_EQ(telemetry.requests.Value(), 1u);
+  // The paid-for embedding is still materialized: a retry is a store hit.
+  EXPECT_TRUE(service.LookupOrEncode(1, RawUser(1)).get().ok());
+  EXPECT_EQ(telemetry.store_hits.Value(), 1u);
+  EXPECT_EQ(encoder.users_encoded.load(), 1u);
+}
+
+TEST(EmbeddingServiceTest, AsyncFiresDoneOnceBeforeReturning) {
+  FakeEncoder encoder(3);
+  EmbeddingService service(ShardedEmbeddingStore(4), &encoder,
+                           FastServiceOptions());
+  EmbeddingService no_encoder(ShardedEmbeddingStore(4), nullptr);
+
+  int calls = 0;
+  std::vector<EmbeddingService::EmbeddingResult> results;
+  const auto record = [&](EmbeddingService::EmbeddingResult result) {
+    ++calls;
+    results.push_back(std::move(result));
+  };
+  service.LookupOrEncodeAsync(7, RawUser(42), 0, record);  // fold-in
+  EXPECT_EQ(calls, 1);
+  service.LookupOrEncodeAsync(7, RawUser(42), 0, record);  // store hit
+  EXPECT_EQ(calls, 2);
+  no_encoder.LookupOrEncodeAsync(7, RawUser(42), 0, record);  // not found
+  EXPECT_EQ(calls, 3);
+
+  ASSERT_TRUE(results[0].ok()) << results[0].status().ToString();
+  ASSERT_EQ(results[0]->size(), 3u);
+  EXPECT_FLOAT_EQ((*results[0])[0], 42.0f);
+  ASSERT_TRUE(results[1].ok());
+  EXPECT_EQ(*results[1], *results[0]);
+  EXPECT_EQ(results[2].status().code(), StatusCode::kNotFound);
+  EXPECT_EQ(encoder.users_encoded.load(), 1u);
 }
 
 TEST(EmbeddingServiceTest, NoEncoderAnswersNotFound) {
@@ -1000,8 +992,9 @@ TEST(EmbeddingServiceStressTest, ConcurrentMixedTrafficLosesNothing) {
   FakeEncoder encoder(2);
   EmbeddingServiceOptions options = FastServiceOptions();
   options.num_shards = 8;
-  options.batcher.max_batch_size = 16;
-  options.batcher.max_wait_micros = 100;
+  // Fewer fold-in slots than threads, so admission control bounces some
+  // requests and the outcome invariant covers rejections too.
+  options.batcher.queue_capacity = 4;
   EmbeddingService service(std::move(store), &encoder, options);
 
   std::atomic<size_t> ok_responses{0};

@@ -382,12 +382,6 @@ int CmdServeBench(const Args& args) {
   serving::EmbeddingServiceOptions options;
   options.metrics_registry = &obs::MetricsRegistry::Global();
   options.num_shards = size_t(args.GetInt("shards", 16));
-  options.enable_batcher = args.GetInt("batcher", 1) != 0;
-  // Default batch size matches client concurrency so closed-loop batches
-  // fill (and dispatch) without burning the whole wait window.
-  const int64_t batch = args.GetInt("batch", 0);
-  options.batcher.max_batch_size = batch > 0 ? size_t(batch) : threads;
-  options.batcher.max_wait_micros = uint64_t(args.GetInt("wait-us", 100));
   options.batcher.queue_capacity = size_t(args.GetInt("queue", 8192));
   options.default_deadline_micros =
       uint64_t(args.GetInt("deadline-us", 0));
@@ -423,10 +417,8 @@ int CmdServeBench(const Args& args) {
   const serving::LoadGenReport report =
       serving::RunClosedLoopLoad(service, *data, hot_ids, cold_ids, load);
 
-  std::printf("load: %zu threads x %zu requests, hot fraction %.2f, "
-              "batcher %s\n",
-              threads, load.requests_per_thread, hot_frac,
-              options.enable_batcher ? "on" : "off");
+  std::printf("load: %zu threads x %zu requests, hot fraction %.2f\n",
+              threads, load.requests_per_thread, hot_frac);
   std::printf("client: %s\n", report.Json().c_str());
   std::printf("service: %s\n", service.TelemetryJson().c_str());
   obs_session.Finish();
@@ -451,9 +443,6 @@ int CmdServe(const Args& args) {
   serving::EmbeddingServiceOptions options;
   options.metrics_registry = &obs::MetricsRegistry::Global();
   options.num_shards = size_t(args.GetInt("shards", 16));
-  options.enable_batcher = args.GetInt("batcher", 1) != 0;
-  options.batcher.max_batch_size = size_t(args.GetInt("batch", 8));
-  options.batcher.max_wait_micros = uint64_t(args.GetInt("wait-us", 100));
   options.batcher.queue_capacity = size_t(args.GetInt("queue", 8192));
   options.default_deadline_micros = uint64_t(args.GetInt("deadline-us", 0));
 
@@ -831,13 +820,11 @@ void PrintUsage() {
       "  inspect   --model F | --data F\n"
       "  metrics   --in metrics.jsonl\n"
       "  serve-bench --data F --model F [--threads N --requests N\n"
-      "             --hot-frac H --batcher 0|1 --batch B --wait-us W\n"
-      "             --queue Q --deadline-us D --shards S --seed S\n"
-      "             --trace-out F --metrics-out F]\n"
+      "             --hot-frac H --queue Q --deadline-us D --shards S\n"
+      "             --seed S --trace-out F --metrics-out F]\n"
       "  serve     --data F --model F [--port P --workers W --shards S\n"
-      "             --batcher 0|1 --batch B --wait-us W --queue Q\n"
-      "             --deadline-us D --hot-frac H --metrics-out F\n"
-      "             --slow-us N --trace-out F]\n"
+      "             --queue Q --deadline-us D --hot-frac H\n"
+      "             --metrics-out F --slow-us N --trace-out F]\n"
       "  net-load  --endpoints h:p[,h:p...] [--threads N --requests N\n"
       "             --users N --deadline-us D --hedge 0|1\n"
       "             --breaker-threshold N --trace-out F]\n"
