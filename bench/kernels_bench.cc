@@ -1,6 +1,6 @@
 // Per-ISA throughput for the runtime-dispatched SIMD kernel layer
-// (src/math/kernels/): GEMM, softmax, exp, tanh microkernels at serving
-// shapes, plus the end-to-end metric the layer exists for — cold fold-in
+// (src/math/kernels/): GEMM at the serving encoder's and the training
+// decoder head's shapes, softmax, exp, tanh microkernels, plus the end-to-end metric the layer exists for — cold fold-in
 // encode rate (FieldVae::EncodeFoldInInto) with the dispatch table pinned
 // to each ISA the host supports. The scalar row is the "before" of the
 // SIMD change; the native row is the "after".
@@ -43,6 +43,7 @@ double MeasureRate(double budget_s, const std::function<void()>& op) {
 
 struct IsaNumbers {
   double gemm_gflops = 0.0;
+  double decoder_gemm_gflops = 0.0;
   double softmax_melems_s = 0.0;
   double exp_melems_s = 0.0;
   double tanh_melems_s = 0.0;
@@ -52,6 +53,9 @@ struct IsaNumbers {
 // GEMM at the serving encoder's hidden-layer shape; element counts sized
 // so one call is ~100us of scalar work.
 constexpr size_t kGemmM = 64, kGemmK = 512, kGemmN = 256;
+// GEMM at a training decoder head's shape: batch 256, width 192, ~2k
+// candidates (the logits product of FieldVae::TrainStep's field loop).
+constexpr size_t kDecM = 256, kDecK = 192, kDecN = 2048;
 constexpr size_t kElems = 4096;
 
 IsaNumbers MeasureIsa(const core::FieldVae& model,
@@ -75,6 +79,16 @@ IsaNumbers MeasureIsa(const core::FieldVae& model,
   out.gemm_gflops =
       gemm_calls_s * 2.0 * double(kGemmM) * double(kGemmK) * double(kGemmN) /
       1e9;
+  std::vector<float> dec_a(kDecM * kDecK), dec_b(kDecK * kDecN),
+      dec_c(kDecM * kDecN, 0.0f);
+  for (float& v : dec_a) v = dist(rng);
+  for (float& v : dec_b) v = dist(rng);
+  const double dec_calls_s = MeasureRate(budget_s, [&] {
+    t.gemm_accumulate(dec_a.data(), dec_b.data(), dec_c.data(), kDecM, kDecK,
+                      kDecN);
+  });
+  out.decoder_gemm_gflops =
+      dec_calls_s * 2.0 * double(kDecM) * double(kDecK) * double(kDecN) / 1e9;
   const double softmax_calls_s = MeasureRate(budget_s, [&] {
     scratch = logits;
     t.softmax_inplace(scratch.data(), scratch.size());
@@ -153,15 +167,16 @@ int Main() {
 
   std::string table;
   char line[256];
-  std::snprintf(line, sizeof(line), "%-8s %12s %14s %12s %12s %14s\n", "isa",
-                "gemm_gflops", "softmax_Mel/s", "exp_Mel/s", "tanh_Mel/s",
-                "foldin_users/s");
+  std::snprintf(line, sizeof(line), "%-8s %12s %12s %14s %12s %12s %14s\n",
+                "isa", "gemm_gflops", "dec_gflops", "softmax_Mel/s",
+                "exp_Mel/s", "tanh_Mel/s", "foldin_users/s");
   table += line;
   for (const auto& [isa, n] : numbers) {
     std::snprintf(line, sizeof(line),
-                  "%-8s %12.2f %14.1f %12.1f %12.1f %14.1f\n", IsaName(isa),
-                  n.gemm_gflops, n.softmax_melems_s, n.exp_melems_s,
-                  n.tanh_melems_s, n.foldin_users_s);
+                  "%-8s %12.2f %12.2f %14.1f %12.1f %12.1f %14.1f\n",
+                  IsaName(isa), n.gemm_gflops, n.decoder_gemm_gflops,
+                  n.softmax_melems_s, n.exp_melems_s, n.tanh_melems_s,
+                  n.foldin_users_s);
     table += line;
   }
   const double scalar_foldin = numbers[Isa::kScalar].foldin_users_s;
@@ -182,16 +197,21 @@ int Main() {
   std::snprintf(buf, sizeof(buf), "  \"gemm_shape\": [%zu, %zu, %zu],\n",
                 kGemmM, kGemmK, kGemmN);
   json += buf;
+  std::snprintf(buf, sizeof(buf),
+                "  \"decoder_gemm_shape\": [%zu, %zu, %zu],\n", kDecM, kDecK,
+                kDecN);
+  json += buf;
   json += "  \"isas\": {\n";
   bool first = true;
   for (const auto& [isa, n] : numbers) {
     std::snprintf(
         buf, sizeof(buf),
-        "%s    \"%s\": {\"gemm_gflops\": %.2f, \"softmax_melems_s\": %.1f, "
-        "\"exp_melems_s\": %.1f, \"tanh_melems_s\": %.1f, "
-        "\"foldin_users_s\": %.1f}",
-        first ? "" : ",\n", IsaName(isa), n.gemm_gflops, n.softmax_melems_s,
-        n.exp_melems_s, n.tanh_melems_s, n.foldin_users_s);
+        "%s    \"%s\": {\"gemm_gflops\": %.2f, \"decoder_gemm_gflops\": %.2f, "
+        "\"softmax_melems_s\": %.1f, \"exp_melems_s\": %.1f, "
+        "\"tanh_melems_s\": %.1f, \"foldin_users_s\": %.1f}",
+        first ? "" : ",\n", IsaName(isa), n.gemm_gflops, n.decoder_gemm_gflops,
+        n.softmax_melems_s, n.exp_melems_s, n.tanh_melems_s,
+        n.foldin_users_s);
     json += buf;
     first = false;
   }

@@ -236,19 +236,33 @@ Matrix FieldVae::ScoreField(const Matrix& z, size_t k,
   Matrix hdec;
   decoder_trunk_->Infer(z, &hdec);
 
+  // Gather the known candidates' rows, score them in one GEMM, then
+  // scatter with the bias; unseen candidates keep logit 0.
   const nn::EmbeddingTable& table = *output_tables_[k];
-  const size_t num_candidates = candidate_ids.size();
-  Matrix logits(z.rows(), num_candidates);
-  for (size_t c = 0; c < num_candidates; ++c) {
-    auto row = table.FindRow(candidate_ids[c]);
-    if (!row.has_value()) continue;  // unseen candidate: logit 0
-    std::span<const float> w = table.Row(*row);
-    const float b = table.bias(*row);
-    for (size_t i = 0; i < z.rows(); ++i) {
-      const float* h = hdec.Row(i);
-      double acc = b;
-      for (size_t d = 0; d < w.size(); ++d) acc += double(h[d]) * w[d];
-      logits(i, c) = static_cast<float>(acc);
+  std::vector<size_t> known_cols;
+  std::vector<float> known_bias;
+  std::vector<uint32_t> known_rows;
+  for (size_t c = 0; c < candidate_ids.size(); ++c) {
+    const auto row = table.FindRow(candidate_ids[c]);
+    if (!row.has_value()) continue;
+    known_cols.push_back(c);
+    known_rows.push_back(*row);
+    known_bias.push_back(table.bias(*row));
+  }
+  Matrix wc(known_cols.size(), table.dim());
+  for (size_t c = 0; c < known_rows.size(); ++c) {
+    std::span<const float> w = table.Row(known_rows[c]);
+    std::copy(w.begin(), w.end(), wc.Row(c));
+  }
+  Matrix known_logits;
+  GemmNT(hdec, wc, &known_logits);
+
+  Matrix logits(z.rows(), candidate_ids.size());
+  for (size_t i = 0; i < z.rows(); ++i) {
+    const float* src = known_logits.Row(i);
+    float* dst = logits.Row(i);
+    for (size_t c = 0; c < known_cols.size(); ++c) {
+      dst[known_cols[c]] = src[c] + known_bias[c];
     }
   }
   return logits;
@@ -349,7 +363,8 @@ StepStats FieldVae::TrainStep(const MultiFieldDataset& dataset,
   std::vector<uint64_t> chosen_ids;
   std::vector<uint32_t> rows;
   Matrix wc, wc_grad, logits, logits_grad;
-  std::vector<float> counts;
+  std::vector<float> bc, counts;
+  std::vector<double> bias_grad;
   std::vector<uint32_t> touched_positions;
 
   for (size_t k = 0; k < num_fields; ++k) {
@@ -395,7 +410,7 @@ StepStats FieldVae::TrainStep(const MultiFieldDataset& dataset,
     position.clear();
     rows.resize(num_cand);
     wc.Resize(num_cand, dec_dim);
-    std::vector<float> bc(num_cand);
+    bc.resize(num_cand);
     for (size_t c = 0; c < num_cand; ++c) {
       position[chosen_ids[c]] = static_cast<uint32_t>(c);
       rows[c] = output_tables_[k]->GetOrCreateRow(chosen_ids[c]);
@@ -439,11 +454,15 @@ StepStats FieldVae::TrainStep(const MultiFieldDataset& dataset,
     // Backprop into the decoder hidden state and the candidate rows.
     GemmAccumulate(logits_grad, wc, &hdec_grad);
     GemmTN(logits_grad, hdec, &wc_grad);
+    // Bias gradient: column sums of logits_grad, accumulated row by row.
+    bias_grad.assign(num_cand, 0.0);
+    for (size_t i = 0; i < batch; ++i) {
+      const float* g = logits_grad.Row(i);
+      for (size_t c = 0; c < num_cand; ++c) bias_grad[c] += g[c];
+    }
     for (size_t c = 0; c < num_cand; ++c) {
-      double bias_grad = 0.0;
-      for (size_t i = 0; i < batch; ++i) bias_grad += logits_grad(i, c);
       output_tables_[k]->AccumulateGrad(rows[c], {wc_grad.Row(c), dec_dim},
-                                        static_cast<float>(bias_grad));
+                                        static_cast<float>(bias_grad[c]));
     }
   }
   fields_span.End();

@@ -61,6 +61,7 @@ struct KernelTable {
   void (*sigmoid_inplace)(float* x, size_t n) = nullptr;
   /// grad[j] = total_count * exp(log_probs[j]) - counts[j], with
   /// sub-FLT_MIN reconstruction mass flushed to exactly zero first.
+  /// Elementwise: `grad` may alias `log_probs`.
   void (*multinomial_grad)(const float* log_probs, const float* counts,
                            float total_count, float* grad, size_t n) = nullptr;
 };

@@ -301,7 +301,7 @@ void GemmAccumulateAvx2(const float* a, const float* b, float* out, size_t m,
 
 double DotAvx2(const float* a, const float* b, size_t n) {
   // Products and accumulation in double, matching the scalar kernel's
-  // precision (GemmNT feeds optimizer math that expects it).
+  // precision.
   __m256d acc0 = _mm256_setzero_pd();
   __m256d acc1 = _mm256_setzero_pd();
   size_t i = 0;

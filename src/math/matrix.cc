@@ -8,6 +8,36 @@
 
 namespace fvae {
 
+namespace {
+
+// dst (cols x rows) = src (rows x cols)^T, walked in square tiles so the
+// strided side of the copy stays within a few cache lines per tile.
+void TransposeInto(const float* src, size_t rows, size_t cols, float* dst) {
+  constexpr size_t kTile = 32;
+  for (size_t r0 = 0; r0 < rows; r0 += kTile) {
+    const size_t r1 = std::min(rows, r0 + kTile);
+    for (size_t c0 = 0; c0 < cols; c0 += kTile) {
+      const size_t c1 = std::min(cols, c0 + kTile);
+      for (size_t r = r0; r < r1; ++r) {
+        for (size_t c = c0; c < c1; ++c) dst[c * rows + r] = src[r * cols + c];
+      }
+    }
+  }
+}
+
+// Packs src^T into this thread's panel and returns it. The panel grows to
+// the largest operand the thread has packed and is reused after that, so
+// concurrent callers never share it and a warmed-up caller does not
+// allocate.
+const float* PackTransposed(const Matrix& src) {
+  thread_local std::vector<float> panel;
+  if (panel.size() < src.size()) panel.resize(src.size());
+  TransposeInto(src.data(), src.rows(), src.cols(), panel.data());
+  return panel.data();
+}
+
+}  // namespace
+
 Matrix Matrix::FromRows(const std::vector<std::vector<float>>& rows) {
   if (rows.empty()) return Matrix();
   Matrix m(rows.size(), rows[0].size());
@@ -56,10 +86,7 @@ void Matrix::Resize(size_t rows, size_t cols) {
 
 Matrix Matrix::Transposed() const {
   Matrix out(cols_, rows_);
-  for (size_t r = 0; r < rows_; ++r) {
-    const float* src = Row(r);
-    for (size_t c = 0; c < cols_; ++c) out(c, r) = src[c];
-  }
+  TransposeInto(data(), rows_, cols_, out.data());
   return out;
 }
 
@@ -129,19 +156,18 @@ void GemmAccumulate(const Matrix& a, const Matrix& b, Matrix* out) {
   Kernels().gemm_accumulate(a.Row(0), b.Row(0), out->Row(0), m, k, n);
 }
 
+// Both transposed products pack the transposed operand and run the same
+// gemm_accumulate kernel as Gemm, so all three share its numeric contract:
+// GemmNT(a, b) is bitwise Gemm(a, b.Transposed()) and GemmTN(a, b) is
+// bitwise Gemm(a.Transposed(), b).
 void GemmNT(const Matrix& a, const Matrix& b, Matrix* out) {
   const size_t m = a.rows(), k = a.cols(), n = b.rows();
   FVAE_CHECK(b.cols() == k)
       << "gemm-nt shape mismatch: " << a.cols() << " vs " << b.cols();
   out->Resize(m, n);
-  const KernelTable& kt = Kernels();
-  for (size_t i = 0; i < m; ++i) {
-    const float* a_row = a.Row(i);
-    float* out_row = out->Row(i);
-    for (size_t j = 0; j < n; ++j) {
-      out_row[j] = static_cast<float>(kt.dot(a_row, b.Row(j), k));
-    }
-  }
+  if (out->size() == 0 || k == 0) return;
+  Kernels().gemm_accumulate(a.data(), PackTransposed(b), out->data(), m, k,
+                            n);
 }
 
 void GemmTN(const Matrix& a, const Matrix& b, Matrix* out) {
@@ -149,19 +175,9 @@ void GemmTN(const Matrix& a, const Matrix& b, Matrix* out) {
   FVAE_CHECK(b.rows() == k)
       << "gemm-tn shape mismatch: " << a.rows() << " vs " << b.rows();
   out->Resize(m, n);
-  const KernelTable& kt = Kernels();
-  for (size_t p = 0; p < k; ++p) {
-    const float* a_row = a.Row(p);
-    const float* b_row = b.Row(p);
-    for (size_t i = 0; i < m; ++i) {
-      const float a_pi = a_row[i];
-      // Activation gradients are mostly dense but batch-sparse rows do
-      // occur; the skip is exact (+= 0*x is an fp no-op for finite x) and
-      // GemmTN is not on the inf/NaN-propagation-sensitive serving path.
-      if (a_pi == 0.0f) continue;
-      kt.axpy(a_pi, b_row, out->Row(i), n);
-    }
-  }
+  if (out->size() == 0 || k == 0) return;
+  Kernels().gemm_accumulate(PackTransposed(a), b.data(), out->data(), m, k,
+                            n);
 }
 
 }  // namespace fvae

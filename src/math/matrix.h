@@ -101,14 +101,19 @@ class Matrix {
   std::vector<float> data_;
 };
 
-/// out = a * b. Blocked triple loop (ikj order) with accumulation in the
-/// innermost dimension; shapes: (m x k) * (k x n) -> (m x n).
+/// out = a * b; shapes: (m x k) * (k x n) -> (m x n). All four GEMMs run
+/// the ISA-dispatched register-tiled gemm_accumulate kernel
+/// (src/math/kernels/): ascending-p accumulation, no zero-operand skips.
 void Gemm(const Matrix& a, const Matrix& b, Matrix* out);
 
-/// out = a * b^T; shapes: (m x k) * (n x k)^T -> (m x n).
+/// out = a * b^T; shapes: (m x k) * (n x k)^T -> (m x n). Packs b^T into
+/// a per-thread panel first; bitwise equal to Gemm(a, b.Transposed()).
+/// Safe for concurrent callers.
 void GemmNT(const Matrix& a, const Matrix& b, Matrix* out);
 
-/// out = a^T * b; shapes: (k x m)^T * (k x n) -> (m x n).
+/// out = a^T * b; shapes: (k x m)^T * (k x n) -> (m x n). Packs a^T into
+/// a per-thread panel first; bitwise equal to Gemm(a.Transposed(), b).
+/// Safe for concurrent callers.
 void GemmTN(const Matrix& a, const Matrix& b, Matrix* out);
 
 /// out += a * b (accumulating variant of Gemm).

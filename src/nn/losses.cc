@@ -1,5 +1,6 @@
 #include "nn/losses.h"
 
+#include <algorithm>
 #include <cmath>
 #include <vector>
 
@@ -42,21 +43,22 @@ double MultinomialNll(std::span<const float> logits,
   FVAE_CHECK(grad.size() == logits.size()) << "grad size mismatch";
   if (logits.empty()) return 0.0;
 
-  // Stable log-softmax.
-  std::vector<float> log_probs(logits.begin(), logits.end());
-  LogSoftmaxInPlace(log_probs);
+  // Stable log-softmax, staged in `grad` so the call never allocates:
+  // multinomial_grad is elementwise and may overwrite its own input.
+  std::copy(logits.begin(), logits.end(), grad.begin());
+  LogSoftmaxInPlace(grad);
 
   double total_count = 0.0;
   double loss = 0.0;
   for (size_t j = 0; j < counts.size(); ++j) {
     total_count += counts[j];
-    loss -= double(counts[j]) * log_probs[j];
+    loss -= double(counts[j]) * grad[j];
   }
   // grad = total_count * softmax - counts, via the ISA-dispatched kernel.
   // Candidates whose softmax mass underflows below FLT_MIN are flushed to
   // exactly zero there, so the gradient never feeds subnormal garbage into
   // the optimizer even when FVAE_FTZ=0.
-  Kernels().multinomial_grad(log_probs.data(), counts.data(),
+  Kernels().multinomial_grad(grad.data(), counts.data(),
                              static_cast<float>(total_count), grad.data(),
                              grad.size());
   return loss;

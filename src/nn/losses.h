@@ -27,7 +27,8 @@ void GaussianKlBackward(const Matrix& mu, const Matrix& logvar, float weight,
 /// `logits` are unnormalized scores for C candidates; `counts` are the
 /// observed counts for the same candidates (target distribution). Computes
 /// -sum_j counts[j] * log softmax(logits)[j], and writes the gradient wrt
-/// the logits into `grad` (resized to C):
+/// the logits into `grad` (size C, also the log-softmax scratch, so the
+/// call does not allocate):
 ///    grad[j] = N * softmax(logits)[j] - counts[j],  N = sum(counts).
 /// This is the per-field reconstruction term of the FVAE ELBO (Eq. 4) and
 /// of the Mult-VAE likelihood, evaluated over either the full vocabulary or

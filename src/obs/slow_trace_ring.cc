@@ -1,6 +1,7 @@
 #include "obs/slow_trace_ring.h"
 
 #include <algorithm>
+#include <atomic>
 
 #include "common/string_util.h"
 
@@ -13,9 +14,20 @@ void SlowTraceRing::Record(const Entry& entry) {
   const uint64_t index =
       head_.fetch_add(1, std::memory_order_relaxed) % slots_.size();
   Slot& slot = slots_[index];
-  // Odd sequence marks the slot dirty; readers that observe it (or see the
-  // sequence move across their read) discard the slot.
-  slot.sequence.fetch_add(1, std::memory_order_acq_rel);
+  // Claim the slot by moving its sequence from even to odd. A writer that
+  // wrapped onto a slot another writer still holds drops its record rather
+  // than interleave stores with it; readers that see the odd sequence (or
+  // see it move across their read) discard the slot.
+  uint64_t seq = slot.sequence.load(std::memory_order_relaxed);
+  do {
+    if ((seq & 1) != 0) {
+      dropped_.fetch_add(1, std::memory_order_relaxed);
+      return;
+    }
+  } while (!slot.sequence.compare_exchange_weak(
+      seq, seq + 1, std::memory_order_relaxed, std::memory_order_relaxed));
+  // Orders the odd sequence before the data stores for a reader's fence.
+  std::atomic_thread_fence(std::memory_order_release);
   slot.trace_id.store(entry.trace_id, std::memory_order_relaxed);
   slot.parent_span_id.store(entry.parent_span_id, std::memory_order_relaxed);
   slot.tag.store(entry.tag, std::memory_order_relaxed);
@@ -23,7 +35,7 @@ void SlowTraceRing::Record(const Entry& entry) {
   slot.duration_us.store(entry.duration_us, std::memory_order_relaxed);
   slot.verb.store(entry.verb, std::memory_order_relaxed);
   slot.status.store(entry.status, std::memory_order_relaxed);
-  slot.sequence.fetch_add(1, std::memory_order_release);
+  slot.sequence.store(seq + 2, std::memory_order_release);
   recorded_.fetch_add(1, std::memory_order_relaxed);
 }
 
@@ -44,7 +56,10 @@ std::vector<SlowTraceRing::Entry> SlowTraceRing::Snapshot() const {
         slot.verb.load(std::memory_order_relaxed));
     entry.status = static_cast<uint8_t>(
         slot.status.load(std::memory_order_relaxed));
-    const uint64_t after = slot.sequence.load(std::memory_order_acquire);
+    // Seqlock read: the fence keeps the relaxed data loads above from
+    // moving past the second sequence load.
+    std::atomic_thread_fence(std::memory_order_acquire);
+    const uint64_t after = slot.sequence.load(std::memory_order_relaxed);
     if (after != before) continue;  // overwritten while reading
     entries.push_back(entry);
   }

@@ -16,14 +16,14 @@ namespace fvae::obs {
 /// requests ate the p99" with real trace ids that can be grepped out of
 /// the Chrome trace export.
 ///
-/// Concurrency: Record() claims a slot with one fetch_add and publishes it
-/// under a per-slot sequence counter (odd = write in progress); Snapshot()
-/// skips slots whose sequence moved while being read. Every data word is
-/// an atomic with relaxed ordering bracketed by acq_rel sequence bumps —
-/// wait-free for writers, no locks anywhere, TSan-clean by construction.
-/// Under a wrap race two writers can hit the same slot; the sequence
-/// protocol then discards the slot from snapshots rather than exposing a
-/// torn record.
+/// Concurrency: Record() picks a slot with one fetch_add and owns it once
+/// a CAS moves the slot's sequence from even to odd (odd = write in
+/// progress); Snapshot() is a seqlock read that skips slots whose sequence
+/// was odd or moved while being read. Every data word is an atomic with
+/// relaxed ordering between fences — no locks anywhere, TSan-clean by
+/// construction. Under a wrap race two writers can pick the same slot;
+/// the one that finds it odd drops its record (counted in dropped()), so
+/// a slot never holds two writers' words.
 class SlowTraceRing {
  public:
   struct Entry {
@@ -41,7 +41,8 @@ class SlowTraceRing {
   SlowTraceRing(const SlowTraceRing&) = delete;
   SlowTraceRing& operator=(const SlowTraceRing&) = delete;
 
-  /// Publishes one completed slow/errored request. Wait-free.
+  /// Publishes one completed slow/errored request. Lock-free; drops the
+  /// record if its slot is mid-write by a writer that wrapped onto it.
   void Record(const Entry& entry);
 
   /// Stable entries, sorted by duration descending.
@@ -51,6 +52,9 @@ class SlowTraceRing {
   uint64_t recorded() const {
     return recorded_.load(std::memory_order_relaxed);
   }
+
+  /// Entries dropped because their slot was still being written.
+  uint64_t dropped() const { return dropped_.load(std::memory_order_relaxed); }
 
   size_t capacity() const { return slots_.size(); }
 
@@ -74,6 +78,7 @@ class SlowTraceRing {
   std::vector<Slot> slots_;
   std::atomic<uint64_t> head_{0};
   std::atomic<uint64_t> recorded_{0};
+  std::atomic<uint64_t> dropped_{0};
 };
 
 }  // namespace fvae::obs

@@ -182,6 +182,23 @@ TEST(FieldVaeTest, ScoreFieldShapesAndUnknownCandidates) {
   // Unknown candidate scores exactly zero.
   EXPECT_EQ(scores(0, 2), 0.0f);
   EXPECT_EQ(scores(1, 2), 0.0f);
+
+  // Known candidates score <decoder hidden, output row> + bias.
+  const Matrix hidden = model.DecoderHidden(z);
+  const nn::EmbeddingTable& table = model.output_table(1);
+  for (size_t c = 0; c < 2; ++c) {
+    const auto row = table.FindRow(candidates[c]);
+    ASSERT_TRUE(row.has_value());
+    const std::span<const float> w = table.Row(*row);
+    for (size_t i = 0; i < z.rows(); ++i) {
+      double expected = table.bias(*row);
+      for (size_t d = 0; d < w.size(); ++d) {
+        expected += double(hidden(i, d)) * w[d];
+      }
+      EXPECT_NEAR(scores(i, c), expected, 1e-5)
+          << "user " << i << ", candidate " << c;
+    }
+  }
 }
 
 TEST(FieldVaeTest, LearnsGroupStructure) {

@@ -1,6 +1,8 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <limits>
+#include <tuple>
 
 #include "common/random.h"
 #include "math/matrix.h"
@@ -161,7 +163,61 @@ INSTANTIATE_TEST_SUITE_P(
                       std::make_tuple(65, 64, 63),
                       std::make_tuple(100, 1, 100),
                       std::make_tuple(1, 128, 1),
-                      std::make_tuple(130, 70, 90)));
+                      std::make_tuple(130, 70, 90),
+                      // m = 1: a single fold-in user.
+                      std::make_tuple(1, 192, 48),
+                      // Training decoder heads (batch 256, width 192) at
+                      // the large and small fields' candidate counts, and
+                      // the latent head.
+                      std::make_tuple(256, 192, 2126),
+                      std::make_tuple(256, 192, 128),
+                      std::make_tuple(256, 48, 192)));
+
+// The transposed products run the same kernel on a packed operand, so they
+// must match Gemm on an explicitly transposed operand bit for bit.
+TEST(GemmTest, TransposedProductsAreBitwiseGemm) {
+  Rng rng(31);
+  for (const auto& [m, k, n] : {std::make_tuple(1, 192, 48),
+                                std::make_tuple(37, 19, 53),
+                                std::make_tuple(256, 192, 131)}) {
+    const Matrix a = Matrix::Gaussian(m, k, 1.0f, rng);
+    const Matrix b = Matrix::Gaussian(n, k, 1.0f, rng);
+    Matrix nt, reference;
+    GemmNT(a, b, &nt);
+    Gemm(a, b.Transposed(), &reference);
+    ASSERT_EQ(nt.rows(), reference.rows());
+    ASSERT_EQ(nt.cols(), reference.cols());
+    for (size_t i = 0; i < nt.size(); ++i) {
+      ASSERT_EQ(nt.data()[i], reference.data()[i]) << "GemmNT element " << i;
+    }
+
+    const Matrix at = Matrix::Gaussian(k, m, 1.0f, rng);
+    const Matrix c = Matrix::Gaussian(k, n, 1.0f, rng);
+    Matrix tn;
+    GemmTN(at, c, &tn);
+    Gemm(at.Transposed(), c, &reference);
+    ASSERT_EQ(tn.rows(), reference.rows());
+    ASSERT_EQ(tn.cols(), reference.cols());
+    for (size_t i = 0; i < tn.size(); ++i) {
+      ASSERT_EQ(tn.data()[i], reference.data()[i]) << "GemmTN element " << i;
+    }
+  }
+}
+
+// The kernel contract has no zero-operand skips: 0 * inf and 0 * NaN are
+// NaN, so a non-finite b entry reaches the output even where a is zero.
+TEST(GemmTest, GemmTNPropagatesNonFiniteThroughZeroMultiplier) {
+  Matrix a(2, 3);  // all zeros: out = a^T b is 3 x 2
+  Matrix b = Matrix::FromRows({{1.0f, 2.0f}, {3.0f, 4.0f}});
+  b(0, 0) = std::numeric_limits<float>::infinity();
+  b(1, 1) = std::numeric_limits<float>::quiet_NaN();
+  Matrix out;
+  GemmTN(a, b, &out);
+  for (size_t i = 0; i < out.rows(); ++i) {
+    EXPECT_TRUE(std::isnan(out(i, 0))) << "row " << i;
+    EXPECT_TRUE(std::isnan(out(i, 1))) << "row " << i;
+  }
+}
 
 TEST(GemmTest, GemmAccumulateAddsOnTop) {
   Rng rng(17);

@@ -472,9 +472,10 @@ TEST(SlowTraceRingTest, WrapKeepsOnlyTheLastCapacity) {
 TEST(SlowTraceRingTest, ConcurrentWritersNeverTearSnapshots) {
   SlowTraceRing ring(8);
   std::atomic<bool> stop{false};
+  std::atomic<uint64_t> calls{0};
   std::vector<std::thread> writers;
   for (int t = 0; t < 4; ++t) {
-    writers.emplace_back([&ring, &stop, t] {
+    writers.emplace_back([&ring, &stop, &calls, t] {
       uint64_t n = 0;
       while (!stop.load(std::memory_order_relaxed)) {
         SlowTraceRing::Entry entry;
@@ -485,6 +486,7 @@ TEST(SlowTraceRingTest, ConcurrentWritersNeverTearSnapshots) {
         entry.tag = ++n;
         ring.Record(entry);
       }
+      calls.fetch_add(n);
     });
   }
   for (int i = 0; i < 200; ++i) {
@@ -494,6 +496,8 @@ TEST(SlowTraceRingTest, ConcurrentWritersNeverTearSnapshots) {
   }
   stop.store(true);
   for (std::thread& writer : writers) writer.join();
+  // Every call either published its record or was counted as dropped.
+  EXPECT_EQ(ring.recorded() + ring.dropped(), calls.load());
 }
 
 // ---------- exemplars ----------
